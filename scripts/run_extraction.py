@@ -8,16 +8,15 @@ from tsvkit.cli import main
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
 
-def run():
-    OUT.mkdir(exist_ok=True)
-    code = main([
+def run(out: pathlib.Path = OUT) -> int:
+    out.mkdir(exist_ok=True)
+    return main([
         "extract",
-        "--out", str(OUT / "tsv_pair.s3p"),
-        "--csv", str(OUT / "tsv_pair_sparams.csv"),
-        "--z-csv", str(OUT / "tsv_pair_impedance.csv"),
+        "--out", str(out / "tsv_pair.s3p"),
+        "--csv", str(out / "tsv_pair_sparams.csv"),
+        "--z-csv", str(out / "tsv_pair_impedance.csv"),
     ])
-    raise SystemExit(code)
 
 
 if __name__ == "__main__":
-    run()
+    raise SystemExit(run())

@@ -13,14 +13,14 @@ from tsvkit.cli import main
 OUT = pathlib.Path(__file__).resolve().parent.parent / "out"
 
 
-def run():
-    OUT.mkdir(exist_ok=True)
+def run(out: pathlib.Path = OUT) -> int:
+    out.mkdir(exist_ok=True)
     code = main(["spur", "--mode", "amplitude",
-                 "--out", str(OUT / "spur_vs_amplitude.csv")])
+                 "--out", str(out / "spur_vs_amplitude.csv")])
     code |= main(["spur", "--mode", "frequency",
-                  "--out", str(OUT / "spur_vs_frequency.csv")])
-    raise SystemExit(code)
+                  "--out", str(out / "spur_vs_frequency.csv")])
+    return code
 
 
 if __name__ == "__main__":
-    run()
+    raise SystemExit(run())

@@ -16,7 +16,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .errors import TsvKitError
+from .errors import TsvKitError, ValidationError
 from .network import FrequencyGrid, verify_dual_route, z_matrix_at, z_sweep, z_sweep_csv
 from .params import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, GEOMETRY_KEYS, MATERIAL_KEYS,
                      geometry_from_mapping, load_config, materials_from_mapping)
@@ -217,6 +217,8 @@ def _parse_load(text):
 
 
 def cmd_spur(args) -> int:
+    if args.steps < 1:
+        raise ValidationError(f"--steps must be at least 1, got {args.steps}")
     geom, mat, _, values = _resolve(args)
     load_text = args.substrate_load if args.substrate_load is not None \
         else str(values.get("substrate_load", "50"))
@@ -302,30 +304,25 @@ def cmd_validate(args) -> int:
     def check(name, passed, detail):
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    worst = verify_dual_route(grid, geom, mat)
+    zs = z_sweep(grid, geom, mat)
+    worst = verify_dual_route(zs, geom, mat)
     check("dual_route_z", worst <= 1e-9, f"worst relative disagreement {worst:.3e}")
 
-    zs = z_sweep(grid, geom, mat)
     ss = s_sweep(zs, z0=z0)
-    worst_sym = 0.0
-    worst_sigma = 0.0
-    worst_rt = 0.0
-    for zp, sp in zip(zs, ss):
-        worst_sym = max(worst_sym, float(np.abs(sp.s - sp.s.T).max() / np.abs(sp.s).max()))
-        worst_sigma = max(worst_sigma, max_singular_value(sp))
-        zrt = s_to_z(sp)
-        worst_rt = max(worst_rt, float((np.abs(zrt.z - zp.z) / np.abs(zp.z)).max()))
+    s = ss.s
+    s_scale = np.abs(s).max(axis=(1, 2))
+    worst_sym = float((np.abs(s - s.transpose(0, 2, 1)).max(axis=(1, 2)) / s_scale).max())
+    worst_sigma = float(max_singular_value(ss).max())
+    z_back = np.array([s_to_z(sp).z for sp in ss])
+    worst_rt = float((np.abs(z_back - zs.z) / np.abs(zs.z)).max())
     check("reciprocity", worst_sym <= 1e-9, f"worst |S - S^T|/|S| = {worst_sym:.3e}")
     check("passivity", worst_sigma <= 1.0 + 1e-9, f"max singular value {worst_sigma:.12f}")
     check("z_s_roundtrip", worst_rt <= 1e-9, f"worst relative error {worst_rt:.3e}")
 
     buf = io.StringIO()
     write_s3p(ss, buf, fmt="RI")
-    doc = read_s3p(buf.getvalue())
-    worst_file = 0.0
-    for sp, (f, m) in zip(ss, doc.records):
-        scale = max(np.abs(sp.s).max(), 1e-30)
-        worst_file = max(worst_file, float(np.abs(sp.s - m).max() / scale))
+    m = read_s3p(buf.getvalue()).records.matrices
+    worst_file = float((np.abs(s - m).max(axis=(1, 2)) / np.maximum(s_scale, 1e-30)).max())
     check("touchstone_roundtrip", worst_file <= 1e-8,
           f"worst relative error {worst_file:.3e}")
 

@@ -21,8 +21,10 @@ diverging low-frequency Z12; tapping the substrate through the MOS stack
 instead overstates the coupling by ~12 dB.
 
 Two independent computation routes are provided: closed-form branch algebra
-(`z_matrix_at`) and modified nodal analysis with unit current injection
-(`z_matrix_mna`).  They must agree to 1e-9; `verify_dual_route` checks that.
+(`branch_impedances`, used per point by `z_matrix_at` and over the whole
+frequency axis by `z_sweep`) and modified nodal analysis with unit current
+injection (`z_matrix_mna`).  They must agree to 1e-9; `verify_dual_route`
+checks that.
 """
 
 from __future__ import annotations
@@ -33,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetworkDegeneracyError, ValidationError
-from .numerics import solve_extended
+from .numerics import csv_text, solve_extended
 from .params import MaterialParams, TsvGeometry
-from .rlgc import RlgcElements, c_ox, c_d, c_si_g_si, depletion_width, l_tsv, r_total
+from .rlgc import RlgcElements, r_total, rlgc_at
 
 # Element values below this are rejected rather than stamped: they would make
 # the nodal matrix numerically indistinguishable from singular.
@@ -45,37 +47,40 @@ PORT_NODES = ("port1", "port2", "port3")
 REFERENCE_NODE = "gnd"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrequencyGrid:
-    """Strictly increasing evaluation frequencies in Hz."""
+    """Strictly increasing evaluation frequencies in Hz, as a read-only array."""
 
-    points: tuple
+    points: np.ndarray
     spacing: str = "logarithmic"
 
     def __post_init__(self):
         if self.spacing not in ("linear", "logarithmic"):
             raise ValidationError(f"spacing must be 'linear' or 'logarithmic', got {self.spacing!r}")
-        pts = tuple(float(f) for f in self.points)
-        if not pts:
-            raise ValidationError("frequency grid must be nonempty")
-        if pts[0] <= 0:
+        pts = np.array(self.points, dtype=float)
+        if pts.ndim != 1 or not pts.size:
+            raise ValidationError("frequency grid must be a nonempty 1-D sequence")
+        if not pts[0] > 0:
             raise ValidationError("all grid frequencies must be positive")
-        if any(b <= a for a, b in zip(pts, pts[1:])):
+        if not np.all(pts[1:] > pts[:-1]):
             raise ValidationError("grid frequencies must be strictly increasing")
+        if not math.isfinite(pts[-1]):
+            raise ValidationError("grid frequencies must be finite")
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
     @classmethod
     def logarithmic(cls, start: float = 1e6, stop: float = 100e9, n: int = 201) -> "FrequencyGrid":
         if n < 2 or start <= 0 or stop <= start:
             raise ValidationError("need n >= 2 and 0 < start < stop")
-        return cls(points=tuple(np.logspace(math.log10(start), math.log10(stop), n)),
+        return cls(points=np.logspace(math.log10(start), math.log10(stop), n),
                    spacing="logarithmic")
 
     @classmethod
     def linear(cls, start: float, stop: float, n: int) -> "FrequencyGrid":
         if n < 2 or start <= 0 or stop <= start:
             raise ValidationError("need n >= 2 and 0 < start < stop")
-        return cls(points=tuple(np.linspace(start, stop, n)), spacing="linear")
+        return cls(points=np.linspace(start, stop, n), spacing="linear")
 
     @classmethod
     def default(cls) -> "FrequencyGrid":
@@ -94,6 +99,30 @@ class ThreePortZ:
         if z.shape != (3, 3):
             raise ValidationError(f"z must be 3x3, got shape {z.shape}")
         object.__setattr__(self, "z", z)
+
+
+@dataclass(frozen=True, eq=False)
+class ZSweep:
+    """Closed-form impedance matrices over a frequency vector.
+
+    ``z`` has shape (N, 3, 3).  The branch impedances it was built from are
+    kept beside it (each shape (N,)): the modal S conversion works on them
+    directly, because recovering Z_seg as Z11 - Z13 would cancel ~8 digits
+    at the bottom of the grid.  Indexing and iteration give one
+    :class:`ThreePortZ` per point.
+    """
+
+    frequency: np.ndarray
+    z: np.ndarray
+    z_seg: np.ndarray
+    z_lat: np.ndarray
+    z_stack: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frequency)
+
+    def __getitem__(self, k) -> ThreePortZ:
+        return ThreePortZ(frequency=float(self.frequency[k]), z=self.z[k])
 
 
 @dataclass(frozen=True)
@@ -132,28 +161,55 @@ def assemble_topology(elements: RlgcElements) -> NetworkDescription:
     )
 
 
-def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
-    """Closed-form impedance matrix from branch algebra.
+def branch_impedances(f, r_half, elements: RlgcElements):
+    """Branch impedances (Z_seg, Z_lat, Z_stack) at ``f`` Hz.
 
-    With Z_seg = R/2 + sL/2, Z_stack = 1/sC_ox + 1/sC_d and
-    Z_lat = 1/(G_si + sC_si), open-circuit injection gives
+    ``f`` and ``r_half`` (the half-segment resistance at ``f``) are scalars
+    or arrays over the frequency axis; the other element values come from
+    ``elements``.  With s = j*2*pi*f:
+
+        Z_seg   = R/2 + sL/2           one vertical half-segment
+        Z_lat   = 1/(G_si + sC_si)     lateral silicon path
+        Z_stack = 1/sC_ox + 1/sC_d     MOS stack of the return via
+
+    Written in real arithmetic, which rounds alike for Python floats and
+    numpy arrays, so one point of an array sweep equals the same point
+    evaluated alone.
+    """
+    w = 2.0 * math.pi * f
+    wc = w * elements.c_si
+    den = elements.g_si * elements.g_si + wc * wc
+    z_seg = r_half + 1j * (w * elements.l_half)
+    z_lat = elements.g_si / den - 1j * (wc / den)
+    z_stack = -1j * (1.0 / (w * elements.c_ox) + 1.0 / (w * elements.c_d))
+    return z_seg, z_lat, z_stack
+
+
+def _assemble_z(z_seg, z_lat, z_stack) -> np.ndarray:
+    """Impedance matrix (3x3, or (N, 3, 3) over arrays) from the branch impedances.
+
+    Open-circuit injection gives
 
         Z11 = Z33 = Z_seg + Z_lat + Z_stack
         Z13       = Z_lat + Z_stack
         Z12 = Z22 = Z_stack         (all remaining entries)
     """
+    z13 = z_lat + z_stack
+    z11 = z_seg + z13
+    z = np.array([[z11, z_stack, z13],
+                  [z_stack, z_stack, z_stack],
+                  [z13, z_stack, z11]])
+    return z if z.ndim == 2 else np.ascontiguousarray(np.moveaxis(z, -1, 0))
+
+
+def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
+    """Closed-form impedance matrix from branch algebra (see :func:`branch_impedances`)."""
     if not (f > 0 and math.isfinite(f)):
         raise ValidationError(f"frequency must be finite and positive, got {f!r}")
-    s = 2j * math.pi * f
-    z_seg = elements.r_half + s * elements.l_half
-    z_stack = 1.0 / (s * elements.c_ox) + 1.0 / (s * elements.c_d)
-    z_lat = 1.0 / (elements.g_si + s * elements.c_si)
-    z11 = z_seg + z_lat + z_stack
-    z13 = z_lat + z_stack
-    z12 = z_stack
-    z = np.array([[z11, z12, z13],
-                  [z12, z12, z12],
-                  [z13, z12, z11]])
+    try:
+        z = _assemble_z(*branch_impedances(f, elements.r_half, elements))
+    except ZeroDivisionError:
+        raise NetworkDegeneracyError("zero branch admittance", frequency=f) from None
     if not np.isfinite(z).all():
         raise NetworkDegeneracyError("non-finite impedance entries", frequency=f)
     return ThreePortZ(frequency=f, z=z)
@@ -236,52 +292,42 @@ def z_matrix_mna(f: float, elements: RlgcElements) -> ThreePortZ:
     return ThreePortZ(frequency=f, z=z)
 
 
-def _elements_for_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams):
-    """Per-point element sets with the static values computed once."""
-    l_tot = l_tsv(geom, mat)
-    cap_ox = c_ox(geom, mat)
-    cap_d = c_d(geom, mat, depletion_width(mat))
-    cap_si, cond_si = c_si_g_si(geom, mat)
-    for f in grid.points:
-        r_tot = r_total(f, geom, mat)
-        yield RlgcElements(
-            r_total=r_tot, r_half=r_tot / 2.0,
-            l_total=l_tot, l_half=l_tot / 2.0,
-            c_ox=cap_ox, c_d=cap_d, c_si=cap_si, g_si=cond_si,
-            frequency=f,
-        )
+def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> ZSweep:
+    """Closed-form impedance matrices over the grid, computed as arrays over f."""
+    f = grid.points
+    elements = rlgc_at(float(f[0]), geom, mat)   # the frequency-independent values
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        branches = branch_impedances(f, r_total(f, geom, mat) / 2.0, elements)
+        z = _assemble_z(*branches)
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))
+    if bad.size:
+        raise NetworkDegeneracyError(
+            f"sweep failed at {f[bad[0]]:.6g} Hz: non-finite impedance entries",
+            frequency=float(f[bad[0]]))
+    return ZSweep(f, z, *branches)
 
 
-def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> list[ThreePortZ]:
-    """Closed-form impedance matrices over the grid, in grid order."""
-    out = []
-    for elements in _elements_for_sweep(grid, geom, mat):
-        try:
-            out.append(z_matrix_at(elements.frequency, elements))
-        except (ValidationError, NetworkDegeneracyError) as err:
-            raise NetworkDegeneracyError(
-                f"sweep failed at {elements.frequency:.6g} Hz: {err}",
-                frequency=elements.frequency) from err
-    return out
-
-
-def verify_dual_route(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams,
+def verify_dual_route(sweep, geom: TsvGeometry, mat: MaterialParams,
                       rtol: float = 1e-9) -> float:
     """Worst per-entry relative disagreement between the two Z routes.
 
+    ``sweep`` is the :class:`ZSweep` that ``z_sweep(..., geom, mat)`` built,
+    or a :class:`FrequencyGrid` to build it on.  Each of its matrices is
+    compared with :func:`z_matrix_mna` on the elements from ``rlgc_at``.
     Raises :class:`NetworkDegeneracyError` if any grid point exceeds ``rtol``.
     """
-    worst = 0.0
-    for elements in _elements_for_sweep(grid, geom, mat):
-        za = z_matrix_at(elements.frequency, elements).z
-        zb = z_matrix_mna(elements.frequency, elements).z
-        rel = float((np.abs(za - zb) / np.abs(za)).max())
-        worst = max(worst, rel)
-        if rel > rtol:
-            raise NetworkDegeneracyError(
-                f"branch-algebra and nodal routes disagree by {rel:.3e} "
-                f"at {elements.frequency:.6g} Hz", frequency=elements.frequency)
-    return worst
+    if isinstance(sweep, FrequencyGrid):
+        sweep = z_sweep(sweep, geom, mat)
+    freqs = sweep.frequency.tolist()
+    mna = np.array([z_matrix_mna(f, rlgc_at(f, geom, mat)).z for f in freqs])
+    rel = (np.abs(sweep.z - mna) / np.abs(sweep.z)).max(axis=(1, 2))
+    bad = np.flatnonzero(rel > rtol)
+    if bad.size:
+        k = bad[0]
+        raise NetworkDegeneracyError(
+            f"branch-algebra and nodal routes disagree by {rel[k]:.3e} "
+            f"at {freqs[k]:.6g} Hz", frequency=freqs[k])
+    return float(rel.max())
 
 
 Z_CSV_HEADER = ("frequency_hz,re_z11,im_z11,re_z12,im_z12,re_z13,im_z13,"
@@ -290,13 +336,11 @@ Z_CSV_HEADER = ("frequency_hz,re_z11,im_z11,re_z12,im_z12,re_z13,im_z13,"
 _UNIQUE_Z = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def z_sweep_csv(sweep: list[ThreePortZ]) -> str:
+def z_sweep_csv(sweep: ZSweep) -> str:
     """CSV of the six unique entries of a reciprocal sweep (LF line endings)."""
-    lines = [Z_CSV_HEADER]
-    for point in sweep:
-        cells = [f"{point.frequency:.12e}"]
-        for i, j in _UNIQUE_Z:
-            cells.append(f"{point.z[i, j].real:.12e}")
-            cells.append(f"{point.z[i, j].imag:.12e}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    entries = sweep.z[:, [i for i, _ in _UNIQUE_Z], [j for _, j in _UNIQUE_Z]]
+    table = np.empty((len(sweep), 1 + 2 * len(_UNIQUE_Z)))
+    table[:, 0] = sweep.frequency
+    table[:, 1::2] = entries.real
+    table[:, 2::2] = entries.imag
+    return csv_text(Z_CSV_HEADER, table)

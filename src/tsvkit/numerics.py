@@ -1,4 +1,4 @@
-"""Small dense complex solves with extended-precision accumulation.
+"""Small dense complex solves with extended-precision accumulation, and text tables.
 
 The three-port matrices span ~12 orders of magnitude across the sweep (the
 substrate branch is nearly open at the bottom of the grid), which costs plain
@@ -52,3 +52,24 @@ def condition_number(a: np.ndarray) -> float:
         return float(np.linalg.cond(np.asarray(a, dtype=np.complex128)))
     except np.linalg.LinAlgError:
         return float("inf")
+
+
+FORMAT_CHUNK_ROWS = 256
+
+
+def format_rows(table: np.ndarray, row_template: str):
+    """Text of an (N, M) float table, yielded in pieces of FORMAT_CHUNK_ROWS rows.
+
+    ``row_template`` holds M ``%`` conversions with their separators and
+    line end.  One ``%`` per piece gives the same digits as formatting each
+    field on its own, at a fraction of the per-field cost; working in
+    pieces bounds the memory held by the Python floats and strings.
+    """
+    for start in range(0, len(table), FORMAT_CHUNK_ROWS):
+        rows = table[start:start + FORMAT_CHUNK_ROWS]
+        yield (row_template * len(rows)) % tuple(rows.ravel().tolist())
+
+
+def csv_text(header: str, table: np.ndarray) -> str:
+    """CSV of an (N, M) float table: the header line, then ``%.12e`` fields, LF endings."""
+    return header + "\n" + "".join(format_rows(table, ",".join(["%.12e"] * table.shape[1]) + "\n"))

@@ -12,6 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .constants import EPS_0, MU_0, Q_E
 from .errors import GeometryOverlapError, ValidationError
 from .params import MaterialParams, TsvGeometry
@@ -50,9 +52,18 @@ class RlgcElements:
             raise ValidationError("half-segment values must be exactly half the totals")
 
 
-def _require_positive_frequency(f: float) -> None:
-    if not (f > 0 and math.isfinite(f)):
+def _require_positive_frequency(f) -> None:
+    if isinstance(f, np.ndarray):
+        if not (np.all(f > 0) and np.isfinite(f).all()):
+            raise ValidationError("frequencies must be finite and positive")
+    elif not (f > 0 and math.isfinite(f)):
         raise ValidationError(f"frequency must be finite and positive, got {f!r}")
+
+
+def _sqrt(x):
+    # Both square roots are correctly rounded, so a point of an array sweep
+    # equals the same point evaluated alone; math.sqrt keeps scalars cheap.
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def r_dc(geom: TsvGeometry, mat: MaterialParams) -> float:
@@ -60,21 +71,28 @@ def r_dc(geom: TsvGeometry, mat: MaterialParams) -> float:
     return mat.rho_cu * geom.height / (math.pi * geom.radius**2)
 
 
-def skin_depth(f: float, mat: MaterialParams) -> float:
-    """RF penetration depth sqrt(rho / (pi*f*mu_r*mu_0)), in meters."""
+def skin_depth(f, mat: MaterialParams):
+    """RF penetration depth sqrt(rho / (pi*f*mu_r*mu_0)), in meters.
+
+    ``f`` is a frequency in Hz or an array of them.
+    """
     _require_positive_frequency(f)
-    return math.sqrt(mat.rho_cu / (math.pi * f * mat.mu_r * MU_0))
+    return _sqrt(mat.rho_cu / (math.pi * f * mat.mu_r * MU_0))
 
 
-def r_ac(f: float, geom: TsvGeometry, mat: MaterialParams) -> float:
+def r_ac(f, geom: TsvGeometry, mat: MaterialParams):
     """Skin-effect resistance of the surface annulus: rho*h / (2*pi*r*delta), in ohms."""
-    _require_positive_frequency(f)
     return mat.rho_cu * geom.height / (2.0 * math.pi * geom.radius * skin_depth(f, mat))
 
 
-def r_total(f: float, geom: TsvGeometry, mat: MaterialParams) -> float:
-    """Quadrature blend sqrt(R_dc^2 + R_ac^2), continuous from DC to RF."""
-    return math.hypot(r_dc(geom, mat), r_ac(f, geom, mat))
+def r_total(f, geom: TsvGeometry, mat: MaterialParams):
+    """Quadrature blend sqrt(R_dc^2 + R_ac^2), continuous from DC to RF.
+
+    ``f`` is a frequency in Hz or an array of them.
+    """
+    rdc = r_dc(geom, mat)
+    rac = r_ac(f, geom, mat)
+    return _sqrt(rdc * rdc + rac * rac)
 
 
 def c_ox(geom: TsvGeometry, mat: MaterialParams, *, liner_floor: float = LINER_FLOOR) -> float:

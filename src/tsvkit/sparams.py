@@ -1,9 +1,11 @@
 """Scattering parameters of the three-port from its impedance matrix.
 
-Conversion uses the equal-real-reference form S = (Z - Z0 I)(Z + Z0 I)^-1 and
-its algebraic inverse Z = Z0 (I + S)(I - S)^-1, computed with partial-pivoting
-linear solves (never an explicit inverse).  Magnitudes are reported as
-20*log10|s|.
+Single points convert with the equal-real-reference form S = (Z - Z0 I)(Z + Z0 I)^-1
+and its algebraic inverse Z = Z0 (I + S)(I - S)^-1, computed with
+partial-pivoting linear solves in extended precision (never an explicit
+inverse).  Sweeps convert in closed form from the branch impedances by
+even/odd-mode analysis (`modal_s`); the per-point route is the exact
+reference it is checked against.  Magnitudes are reported as 20*log10|s|.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConversionError, NetworkDegeneracyError, ValidationError
-from .network import ThreePortZ
-from .numerics import condition_number, solve_extended
+from .network import ThreePortZ, ZSweep
+from .numerics import condition_number, csv_text, solve_extended
 
 COND_LIMIT = 1e12
 
@@ -73,19 +75,98 @@ def s_to_z(sp: ThreePortS) -> ThreePortZ:
     return ThreePortZ(frequency=sp.frequency, z=z)
 
 
-def s_sweep(zs: list[ThreePortZ], z0: float = 50.0) -> list[ThreePortS]:
-    """Per-point conversion of a full sweep, preserving order."""
-    if not zs:
-        raise ValidationError("empty impedance sweep")
-    out = []
-    for zp in zs:
-        try:
-            out.append(z_to_s(zp, z0))
-        except ConversionError as err:
-            raise ConversionError(
-                f"sweep conversion failed at {zp.frequency:.6g} Hz: {err}",
-                condition_number=err.condition_number) from err
-    return out
+@dataclass(frozen=True, eq=False)
+class SSweep:
+    """Scattering matrices over a frequency vector, referenced to one real z0.
+
+    ``s`` has shape (N, 3, 3).  Indexing and iteration give one
+    :class:`ThreePortS` per point.
+    """
+
+    frequency: np.ndarray
+    s: np.ndarray
+    z0: float = 50.0
+
+    def __post_init__(self):
+        f = np.asarray(self.frequency, dtype=float)
+        s = np.asarray(self.s, dtype=complex)
+        if f.ndim != 1 or not f.size:
+            raise ValidationError("a sweep needs a nonempty 1-D frequency vector")
+        if s.shape != f.shape + (3, 3):
+            raise ValidationError(f"s must have shape {f.shape + (3, 3)}, got {s.shape}")
+        if not (self.z0 > 0 and math.isfinite(self.z0)):
+            raise ValidationError(f"z0 must be finite and positive, got {self.z0!r}")
+        object.__setattr__(self, "frequency", f)
+        object.__setattr__(self, "s", s)
+
+    @classmethod
+    def from_points(cls, points) -> "SSweep":
+        """Stack a sequence of :class:`ThreePortS` sharing one reference impedance."""
+        points = list(points)
+        if not points:
+            raise ValidationError("empty scattering sweep")
+        z0 = points[0].z0
+        for point in points:
+            if point.z0 != z0:
+                raise ValidationError(
+                    f"non-uniform reference impedance in sweep: {point.z0} vs {z0}")
+        return cls(np.array([p.frequency for p in points], dtype=float),
+                   np.array([p.s for p in points], dtype=complex), z0)
+
+    def __len__(self) -> int:
+        return len(self.frequency)
+
+    def __getitem__(self, k) -> ThreePortS:
+        return ThreePortS(frequency=float(self.frequency[k]), s=self.s[k], z0=self.z0)
+
+
+def modal_s(frequency, z_seg, z_lat, z_stack, z0: float = 50.0) -> np.ndarray:
+    """S-matrices (N, 3, 3) from the branch impedances by even/odd-mode analysis.
+
+    Swapping ports 1 and 3 leaves Z unchanged, so S splits exactly into an
+    odd mode, S_odd = (Z_seg - z0)/(Z_seg + z0), and a 2x2 even block solved
+    by Cramer's rule (Pozar, *Microwave Engineering*).  With
+    e = Z_seg + 2 Z_lat and c = Z_stack the even-block determinant is
+    D = (e + z0)(c + z0) + 2 z0 c, in which c^2 cancels, and mapping the
+    modes back to the ports gives
+
+        S11 = S33 = [(c + z0)(Z_seg e - z0^2) + 2 z0 Z_seg c] / [D (Z_seg + z0)]
+        S13 = S31 = 2 z0 [Z_lat (c + z0) + z0 c] / [D (Z_seg + z0)]
+        S12 = S21 = S23 = S32 = 2 z0 c / D
+        S22       = [(e + z0)(c - z0) - 2 z0 c] / D
+
+    All arguments but ``z0`` are arrays over the frequency axis.  Raises
+    :class:`ConversionError` naming the first frequency where D or
+    Z_seg + z0 is zero or non-finite, or S overflows.
+    """
+    a, b, c = z_seg, z_lat, z_stack
+    with np.errstate(all="ignore"):
+        e = a + 2.0 * b
+        d_odd = a + z0
+        d_even = (e + z0) * (c + z0) + 2.0 * z0 * c
+        d_both = d_even * d_odd
+        s11 = ((c + z0) * (a * e - z0 * z0) + 2.0 * z0 * a * c) / d_both
+        s13 = 2.0 * z0 * (b * (c + z0) + z0 * c) / d_both
+        s12 = 2.0 * z0 * c / d_even
+        s22 = ((e + z0) * (c - z0) - 2.0 * z0 * c) / d_even
+    s = np.stack([s11, s12, s13,
+                  s12, s22, s12,
+                  s13, s12, s11], axis=-1).reshape(np.shape(a) + (3, 3))
+    ok = (np.isfinite(d_odd) & np.isfinite(d_even) & (d_odd != 0) & (d_even != 0)
+          & np.isfinite(s).all(axis=(-2, -1)))
+    if not ok.all():
+        k = np.flatnonzero(~ok)[0]
+        raise ConversionError(
+            f"modal S is degenerate at {frequency[k]:.6g} Hz: Z_seg + z0 or the "
+            "even-mode determinant is zero or non-finite")
+    return s
+
+
+def s_sweep(zs: ZSweep, z0: float = 50.0) -> SSweep:
+    """S over a closed-form impedance sweep, by :func:`modal_s`."""
+    if not isinstance(zs, ZSweep):
+        raise ValidationError(f"s_sweep needs a ZSweep from z_sweep, got {type(zs).__name__}")
+    return SSweep(zs.frequency, modal_s(zs.frequency, zs.z_seg, zs.z_lat, zs.z_stack, z0), z0)
 
 
 def magnitude_db(value: complex) -> float:
@@ -94,8 +175,10 @@ def magnitude_db(value: complex) -> float:
     return 20.0 * math.log10(mag) if mag > 0.0 else float("-inf")
 
 
-def max_singular_value(sp: ThreePortS) -> float:
-    return float(np.linalg.svd(sp.s, compute_uv=False)[0])
+def max_singular_value(sp):
+    """Largest singular value of S: a float for a point, an (N,) array for a sweep."""
+    sigma = np.linalg.svd(sp.s, compute_uv=False)[..., 0]
+    return float(sigma) if sigma.ndim == 0 else sigma
 
 
 S_CSV_HEADER = "frequency_hz,s21_db,s31_db"
@@ -104,17 +187,14 @@ _FULL_COLS = [f"{part}_s{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for part i
 S_CSV_HEADER_FULL = S_CSV_HEADER + "," + ",".join(_FULL_COLS)
 
 
-def s_sweep_csv(sweep: list[ThreePortS], full: bool = False) -> str:
+def s_sweep_csv(sweep: SSweep, full: bool = False) -> str:
     """CSV of |S21| and |S31| in dB, optionally with all Re/Im entries."""
-    lines = [S_CSV_HEADER_FULL if full else S_CSV_HEADER]
-    for point in sweep:
-        cells = [f"{point.frequency:.12e}",
-                 f"{magnitude_db(point.s[1, 0]):.12e}",
-                 f"{magnitude_db(point.s[2, 0]):.12e}"]
-        if full:
-            for i in range(3):
-                for j in range(3):
-                    cells.append(f"{point.s[i, j].real:.12e}")
-                    cells.append(f"{point.s[i, j].imag:.12e}")
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    mags = np.abs(sweep.s[:, 1:, 0])
+    columns = [sweep.frequency[:, None]]
+    with np.errstate(divide="ignore"):
+        columns.append(20.0 * np.log10(mags))   # an exact zero gives -inf
+    if full:
+        flat = sweep.s.reshape(len(sweep), 9)
+        columns.append(np.stack([flat.real, flat.imag], axis=-1).reshape(len(sweep), 18))
+    table = np.hstack(columns)
+    return csv_text(S_CSV_HEADER_FULL if full else S_CSV_HEADER, table)

@@ -8,24 +8,56 @@ identical files.  The exact grammar lives in docs/formats.md.
 
 The reader tolerates arbitrary whitespace, blank lines and ``!`` comments,
 accepts RI/MA/DB value formats and Hz/kHz/MHz/GHz units, and rejects (never
-repairs) malformed option lines, wrong per-line value counts and
-non-monotonic frequencies, each with the offending line number.
+repairs) malformed option lines, wrong per-line value counts, non-numeric
+or non-finite values and non-monotonic frequencies, each with the offending
+line number.  Both directions work on arrays over the frequency axis.
 """
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
 from .errors import TouchstoneError, ValidationError
-from .sparams import ThreePortS
+from .numerics import format_rows
+from .sparams import SSweep
 
 FREQUENCY_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 FORMATS = ("RI", "MA", "DB")
 NPORTS = 3
+PER_ROW = 2 * NPORTS
+READ_CHUNK_LINES = 768
+# One record: the frequency and matrix row 1, then rows 2 and 3 (9 significant digits).
+RECORD_TEMPLATE = " ".join(["%.8e"] * (PER_ROW + 1)) + "\n" \
+    + (" ".join(["%.8e"] * PER_ROW) + "\n") * (NPORTS - 1)
+
+
+class Records:
+    """Read-only sequence of ``(frequency_hz, 3x3 complex matrix)`` pairs.
+
+    The pairs are views over one frequency vector and one (N, 3, 3) array.
+    """
+
+    __slots__ = ("frequencies", "matrices")
+
+    def __init__(self, frequencies: np.ndarray, matrices: np.ndarray):
+        self.frequencies = frequencies
+        self.matrices = matrices
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "Records":
+        pairs = list(pairs)
+        return cls(np.array([f for f, _ in pairs], dtype=float),
+                   np.array([m for _, m in pairs], dtype=complex).reshape(len(pairs), 3, 3))
+
+    def __len__(self) -> int:
+        return len(self.frequencies)
+
+    def __getitem__(self, k):
+        return float(self.frequencies[k]), self.matrices[k]
 
 
 @dataclass(frozen=True)
@@ -36,89 +68,67 @@ class TouchstoneDocument:
     parameter_type: str                 # always 'S'
     value_format: str                   # 'RI' | 'MA' | 'DB'
     reference_resistance: float         # ohm
-    records: tuple                      # ((frequency_hz, 3x3 complex ndarray), ...)
+    records: Records                    # (frequency_hz, 3x3 complex ndarray) pairs
     comments: tuple = field(default=())
 
     def __post_init__(self):
-        if not self.records:
+        records = self.records
+        if not isinstance(records, Records):
+            records = Records.from_pairs(records)
+            object.__setattr__(self, "records", records)
+        freqs = records.frequencies
+        if not len(freqs):
             raise ValidationError("a Touchstone document needs at least one record")
-        freqs = [rec[0] for rec in self.records]
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        if not np.all(freqs[1:] > freqs[:-1]):
             raise ValidationError("record frequencies must be strictly increasing")
-        for f, m in self.records:
-            if not (np.isfinite(m).all() and math.isfinite(f)):
-                raise ValidationError("matrix entries and frequencies must be finite")
+        if not (np.isfinite(records.matrices).all() and np.isfinite(freqs).all()):
+            raise ValidationError("matrix entries and frequencies must be finite")
 
-    def as_sparams(self) -> list[ThreePortS]:
-        return [ThreePortS(frequency=f, s=m, z0=self.reference_resistance)
-                for f, m in self.records]
-
-
-def _format_pair(value: complex, fmt: str) -> tuple[float, float]:
-    if fmt == "RI":
-        return value.real, value.imag
-    mag = abs(value)
-    ang = math.degrees(math.atan2(value.imag, value.real))
-    if fmt == "MA":
-        return mag, ang
-    # DB: 20*log10 magnitude; an exact zero has no finite dB image, refuse it
-    if mag == 0.0:
-        raise ValidationError("cannot represent a zero entry in DB format")
-    return 20.0 * math.log10(mag), ang
+    def as_sparams(self) -> SSweep:
+        return SSweep(self.records.frequencies, self.records.matrices,
+                      self.reference_resistance)
 
 
-def _num(x: float) -> str:
-    return f"{x:.8e}"  # 9 significant digits
-
-
-def write_s3p(sweep: list[ThreePortS], destination, fmt: str = "RI",
-              comments=()) -> None:
+def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
     """Write a sweep as Touchstone v1 text to a path or text stream.
 
-    ``comments`` become leading ``!`` lines (generator metadata, parameter
-    set).  All points must share one reference impedance.
+    ``sweep`` is an :class:`SSweep` or a sequence of ``ThreePortS`` sharing
+    one reference impedance.  ``comments`` become leading ``!`` lines
+    (generator metadata, parameter set).
     """
-    if not sweep:
-        raise ValidationError("cannot write an empty sweep")
+    if not isinstance(sweep, SSweep):
+        sweep = SSweep.from_points(sweep)
     fmt = fmt.upper()
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
-    z0 = sweep[0].z0
-    for point in sweep:
-        if point.z0 != z0:
-            raise ValidationError(
-                f"non-uniform reference impedance in sweep: {point.z0} vs {z0}")
-    freqs = [p.frequency for p in sweep]
-    if any(b <= a for a, b in zip(freqs, freqs[1:])):
+    freqs = sweep.frequency
+    if not np.all(freqs[1:] > freqs[:-1]):
         raise ValidationError("sweep frequencies must be strictly increasing")
 
-    lines = [f"! {c}" for c in comments]
-    lines.append(f"# Hz S {fmt} R {z0:g}")
-    for point in sweep:
-        for row in range(NPORTS):
-            cells = [_num(point.frequency)] if row == 0 else []
-            for col in range(NPORTS):
-                a, b = _format_pair(point.s[row, col], fmt)
-                cells.append(_num(a))
-                cells.append(_num(b))
-            lines.append(" ".join(cells))
-    text = "\n".join(lines) + "\n"
+    s = sweep.s.reshape(len(sweep), NPORTS * NPORTS)
+    if fmt == "RI":
+        a, b = s.real, s.imag
+    else:
+        a = np.abs(s)
+        b = np.degrees(np.arctan2(s.imag, s.real))
+        if fmt == "DB":
+            # an exact zero has no finite dB image: refuse it
+            if not a.all():
+                raise ValidationError("cannot represent a zero entry in DB format")
+            a = 20.0 * np.log10(a)
+    table = np.empty((len(sweep), 1 + 2 * NPORTS * NPORTS))
+    table[:, 0] = freqs
+    table[:, 1::2] = a
+    table[:, 2::2] = b
 
+    header = "".join(f"! {c}\n" for c in comments) + f"# Hz S {fmt} R {sweep.z0:g}\n"
     if hasattr(destination, "write"):
-        destination.write(text)
+        destination.write(header)
+        destination.writelines(format_rows(table, RECORD_TEMPLATE))
     else:
         with open(destination, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
-
-
-def _pair_to_complex(a: float, b: float, fmt: str) -> complex:
-    if fmt == "RI":
-        return complex(a, b)
-    if fmt == "MA":
-        mag, ang = a, math.radians(b)
-    else:  # DB
-        mag, ang = 10.0 ** (a / 20.0), math.radians(b)
-    return complex(mag * math.cos(ang), mag * math.sin(ang))
+            fh.write(header)
+            fh.writelines(format_rows(table, RECORD_TEMPLATE))
 
 
 def _parse_option_line(line: str, lineno: int):
@@ -128,7 +138,6 @@ def _parse_option_line(line: str, lineno: int):
     ptype = "S"
     resistance = 50.0
     i = 0
-    seen_r = False
     while i < len(tokens):
         tok = tokens[i].upper()
         if tok in FREQUENCY_UNITS:
@@ -145,7 +154,6 @@ def _parse_option_line(line: str, lineno: int):
             except ValueError:
                 raise TouchstoneError(
                     f"option line: bad resistance {tokens[i + 1]!r}", lineno) from None
-            seen_r = True
             i += 1
         else:
             raise TouchstoneError(f"option line: unrecognized token {tokens[i]!r}", lineno)
@@ -154,92 +162,140 @@ def _parse_option_line(line: str, lineno: int):
         raise TouchstoneError(f"only S-parameter files are supported, got type {ptype!r}", lineno)
     if resistance <= 0:
         raise TouchstoneError(f"reference resistance must be positive, got {resistance}", lineno)
-    del seen_r
     return unit, fmt, resistance
 
 
-def read_s3p(source) -> TouchstoneDocument:
-    """Parse three-port Touchstone v1 content from a path, text stream or string."""
+def _read_text(source) -> str:
     if hasattr(source, "read"):
-        text = source.read()
-    elif isinstance(source, str) and "\n" in source:
-        text = source
-    elif isinstance(source, (str, os.PathLike)):
+        return source.read()
+    # Content starts with a comment or the option line; a path does not.
+    if isinstance(source, str) and ("\n" in source or source.lstrip()[:1] in ("!", "#")):
+        return source
+    if isinstance(source, (str, os.PathLike)):
         with open(source, "r", encoding="ascii") as fh:
-            text = fh.read()
-    else:
-        raise TouchstoneError(f"unsupported source {source!r}")
+            return fh.read()
+    raise TouchstoneError(f"unsupported source {source!r}")
 
-    comments = []
-    option = None
-    data_lines = []  # (lineno, [floats])
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line, _, trailing = raw.partition("!")
-        if trailing and option is None and not line.strip():
-            comments.append(trailing.strip())
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            if option is not None:
-                raise TouchstoneError("second option line", lineno)
-            option = _parse_option_line(line, lineno)
-            continue
-        if option is None:
-            raise TouchstoneError("data before the option line", lineno)
-        values = []
-        for tok in line.split():
+
+def _parse_by_line(rows, first_lineno: int) -> np.ndarray:
+    """Token values parsed line by line, naming the first line that fails."""
+    values = []
+    for lineno, row in enumerate(rows, start=first_lineno):
+        if row and row[0].startswith("#"):
+            raise TouchstoneError("second option line", lineno)
+        for tok in row:
             try:
                 values.append(float(tok))
             except ValueError:
                 raise TouchstoneError(f"not a number: {tok!r}", lineno) from None
-        data_lines.append((lineno, values))
+    return np.array(values)
 
+
+def read_s3p(source) -> TouchstoneDocument:
+    """Parse three-port Touchstone v1 content from a path, text stream or string.
+
+    A string holding a line break, or starting with ``!`` or ``#`` after
+    leading whitespace, is content; any other string is a path.
+    """
+    lines = _read_text(source).splitlines()
+
+    comments = []
+    option = None
+    for lineno, raw in enumerate(lines, start=1):
+        line, _, trailing = raw.partition("!")
+        if trailing and not line.strip():
+            comments.append(trailing.strip())
+        line = line.strip()
+        if not line:
+            continue
+        if not line.startswith("#"):
+            raise TouchstoneError("data before the option line", lineno)
+        option = _parse_option_line(line, lineno)
+        break
     if option is None:
         raise TouchstoneError("missing option line")
     unit, fmt, resistance = option
-    if not data_lines:
-        raise TouchstoneError("no data records")
 
+    # Everything after the option line is data, blank lines and comments.  It
+    # is split and parsed in pieces, which bounds the memory of the tokens.
+    body = lines[lineno:]
+    first = lineno + 1   # line number of body[0]
+    del lines
+    counts, values = [np.zeros(0, dtype=int)], [np.zeros(0)]
+    for start in range(0, len(body), READ_CHUNK_LINES):
+        rows = [ln.partition("!")[0].split() for ln in body[start:start + READ_CHUNK_LINES]]
+        counts.append(np.fromiter(map(len, rows), dtype=int, count=len(rows)))
+        try:
+            values.append(np.fromiter(chain.from_iterable(rows), dtype=float,
+                                      count=int(counts[-1].sum())))
+        except ValueError:
+            values.append(_parse_by_line(rows, first + start))
+    counts = np.concatenate(counts)
+    values = np.concatenate(values)
+    data = np.flatnonzero(counts)   # body index of each data line
+    if not data.size:
+        raise TouchstoneError("no data records")
+    counts = counts[data]
+    linenos = data + first
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))   # token offset of each line
+
+    # Each record is a first line of frequency plus PER_ROW values, then
+    # NPORTS - 1 lines of PER_ROW values.  Problems are collected as (data
+    # line, message) in the order a line-by-line reader meets them on one
+    # line; the first in file order is raised.
+    n = len(counts)
+    expected = np.full(n, PER_ROW)
+    expected[::NPORTS] += 1
+    wrong = np.flatnonzero(counts != expected)
+    nonfinite = np.flatnonzero(~np.isfinite(values))
+    nonfinite_line = np.searchsorted(starts, nonfinite[:1], side="right") - 1
+    end = min([n, *wrong[:1], *nonfinite_line])   # the lines before this one are sound
+    problems = []
+    if wrong.size:
+        k = wrong[0]
+        problems.append((k, f"expected frequency plus {PER_ROW} values on the first line "
+                            f"of a record, got {counts[k]}" if k % NPORTS == 0 else
+                            f"expected {PER_ROW} values on matrix row {k % NPORTS + 1}, "
+                            f"got {counts[k]}"))
     scale = FREQUENCY_UNITS[unit.upper()]
-    per_row = 2 * NPORTS
-    records = []
-    i = 0
-    last_f = None
-    while i < len(data_lines):
-        lineno, values = data_lines[i]
-        if len(values) != per_row + 1:
-            raise TouchstoneError(
-                f"expected frequency plus {per_row} values on the first line of a "
-                f"record, got {len(values)}", lineno)
-        f = values[0] * scale
-        if last_f is not None and f <= last_f:
-            raise TouchstoneError(
-                f"non-monotonic frequency {values[0]} {unit}", lineno)
-        last_f = f
-        rows = [values[1:]]
-        for r in range(1, NPORTS):
-            if i + r >= len(data_lines):
-                raise TouchstoneError(
-                    f"record truncated: missing matrix row {r + 1}", lineno)
-            row_lineno, row_values = data_lines[i + r]
-            if len(row_values) != per_row:
-                raise TouchstoneError(
-                    f"expected {per_row} values on matrix row {r + 1}, "
-                    f"got {len(row_values)}", row_lineno)
-            rows.append(row_values)
-        matrix = np.empty((NPORTS, NPORTS), dtype=complex)
-        for r, row_values in enumerate(rows):
-            for c in range(NPORTS):
-                matrix[r, c] = _pair_to_complex(row_values[2 * c], row_values[2 * c + 1], fmt)
-        records.append((f, matrix))
-        i += NPORTS
+    with np.errstate(over="ignore"):   # an overflowing frequency is reported below
+        freqs = values[starts[0:end:NPORTS]] * scale
+    falling = np.flatnonzero(freqs[1:] <= freqs[:-1])
+    if falling.size:
+        k = NPORTS * (falling[0] + 1)
+        problems.append((k, f"non-monotonic frequency {float(values[starts[k]])} {unit}"))
+    if n % NPORTS and not wrong.size:
+        k = n - n % NPORTS
+        problems.append((k, f"record truncated: missing matrix row {n - k + 1}"))
+    if nonfinite.size:
+        k = nonfinite_line[0]
+        token = body[data[k]].partition("!")[0].split()[nonfinite[0] - starts[k]]
+        problems.append((k, f"not a finite number: {token!r}"))
+    if problems:
+        k, message = min(problems, key=lambda problem: problem[0])
+        raise TouchstoneError(message, int(linenos[k]))
+
+    table = values.reshape(-1, 1 + NPORTS * PER_ROW)
+    a = table[:, 1::2]
+    b = table[:, 2::2]
+    if fmt == "RI":
+        s = a + 1j * b
+    else:
+        ang = np.radians(b)
+        with np.errstate(all="ignore"):   # overflow is reported below
+            mag = a if fmt == "MA" else 10.0 ** (a / 20.0)
+            s = mag * np.cos(ang) + 1j * (mag * np.sin(ang))
+    overflow = np.argwhere(~np.isfinite(s) | ~np.isfinite(freqs)[:, None])
+    if overflow.size:
+        record, entry = overflow[0]
+        raise TouchstoneError("a value overflows when converted",
+                              int(linenos[NPORTS * record + entry // NPORTS]))
 
     return TouchstoneDocument(
         frequency_unit=unit,
         parameter_type="S",
         value_format=fmt,
         reference_resistance=resistance,
-        records=tuple(records),
+        records=Records(freqs, s.reshape(-1, NPORTS, NPORTS)),
         comments=tuple(comments),
     )

@@ -212,6 +212,11 @@ class TestSpur:
                            "--cal-point", "0.1:1e9")
         assert code == 2
 
+    def test_zero_steps_rejected(self, capsys):
+        code, _, err = run(capsys, "spur", "--mode", "amplitude", "--steps", "0")
+        assert code == 2
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_bad_substrate_load_rejected(self, capsys):
         code, _, err = run(capsys, "spur", "--mode", "amplitude",
                            "--substrate-load", "fifty")

@@ -1,6 +1,7 @@
 """Z<->S conversion identities, passivity/reciprocity, coupling-curve shape."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,9 +9,9 @@ import pytest
 import reference_values as ref
 from tsvkit import (ConversionError, DEFAULT_GEOMETRY, DEFAULT_MATERIALS,
                     FrequencyGrid, ThreePortS, ValidationError)
-from tsvkit.network import ThreePortZ, z_matrix_at, z_sweep
+from tsvkit.network import ThreePortZ, z_matrix_at, z_matrix_mna, z_sweep
 from tsvkit.rlgc import rlgc_at
-from tsvkit.sparams import (magnitude_db, max_singular_value, s_sweep,
+from tsvkit.sparams import (magnitude_db, max_singular_value, modal_s, s_sweep,
                             s_sweep_csv, s_to_z, z_to_s)
 
 GEOM = DEFAULT_GEOMETRY
@@ -118,6 +119,48 @@ class TestCouplingShape:
         for sp in sweep:
             if sp.frequency <= 10e9:
                 assert magnitude_db(sp.s[2, 0]) > -3.0
+
+
+def perturbed_design(seed):
+    """Default design with each value scaled by a log-uniform factor in [1/1.15, 1.15]."""
+    rng = np.random.default_rng(seed)
+    scale = lambda v: v * 1.15 ** rng.uniform(-1.0, 1.0)
+    geom = replace(GEOM, **{k: scale(getattr(GEOM, k))
+                            for k in ("height", "radius", "pitch", "liner_thickness")})
+    mat = replace(MAT, **{k: scale(getattr(MAT, k))
+                          for k in ("rho_cu", "eps_ox", "eps_si", "n_a", "sigma_si",
+                                    "temperature")})
+    return geom, mat
+
+
+class TestModalSweep:
+    """The closed-form modal S sweep against the exact per-point route."""
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_matches_exact_route(self, seed):
+        geom, mat = (GEOM, MAT) if seed is None else perturbed_design(seed)
+        grid = FrequencyGrid.logarithmic(1e6, 100e9, 20001)
+        sweep = s_sweep(z_sweep(grid, geom, mat))
+        rng = np.random.default_rng(seed)
+        for k in [0, len(grid.points) - 1, *rng.integers(1, len(grid.points) - 1, 8)]:
+            f = grid.points[k]
+            exact = z_to_s(z_matrix_mna(f, rlgc_at(f, geom, mat))).s
+            assert np.abs(sweep.s[k] - exact).max() <= 1e-9 * np.abs(exact).max()
+        assert max_singular_value(sweep).max() <= 1.0 + 1e-9
+
+    def test_zero_denominator_names_frequency(self):
+        f = np.array([1e9, 2e9, 3e9])
+        ones = np.ones(3, dtype=complex)
+        z_seg = np.array([10.0, -50.0, 10.0], dtype=complex)   # Z_seg + z0 = 0 at 2 GHz
+        with pytest.raises(ConversionError, match="2e[+]09 Hz"):
+            modal_s(f, z_seg, ones, ones, z0=50.0)
+
+    def test_non_finite_denominator_names_frequency(self):
+        f = np.array([1e9, 2e9, 3e9])
+        ones = np.ones(3, dtype=complex)
+        z_stack = np.array([1.0, 1.0, np.inf], dtype=complex)
+        with pytest.raises(ConversionError, match="3e[+]09 Hz"):
+            modal_s(f, ones, ones, z_stack, z0=50.0)
 
 
 class TestMagnitudes:

@@ -83,7 +83,7 @@ class TestWriter:
         sweep = model_sweep(n=2)
         other = ThreePortS(frequency=2e10, s=sweep[0].s, z0=75.0)
         with pytest.raises(ValidationError):
-            write_s3p(sweep + [other], io.StringIO())
+            write_s3p(list(sweep) + [other], io.StringIO())
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValidationError):
@@ -225,6 +225,44 @@ class TestReader:
         with pytest.raises(TouchstoneError) as err:
             read_s3p(MINIMAL.replace("0.4 30", "0.4 thirty"))
         assert err.value.line == 4
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_token_named(self, token):
+        with pytest.raises(TouchstoneError) as err:
+            read_s3p(MINIMAL.replace("0.4 30", f"0.4 {token}"))
+        assert err.value.line == 4
+
+    def test_first_problem_in_file_order_is_named(self):
+        lines = write_text(model_sweep(n=3)).split("\n")
+        # option line 1, records on lines 2-4, 5-7 and 8-10
+        lines[8] += " 0.0"          # line 9: matrix row 2 with 7 values
+
+        def with_field(lineno, field, value):
+            edited = list(lines)
+            tokens = edited[lineno - 1].split()
+            tokens[field] = value
+            edited[lineno - 1] = " ".join(tokens)
+            return "\n".join(edited)
+
+        with pytest.raises(TouchstoneError) as err:
+            read_s3p(with_field(3, 0, "nan"))
+        assert err.value.line == 3 and "finite" in str(err.value)
+        with pytest.raises(TouchstoneError) as err:
+            read_s3p(with_field(5, 0, lines[1].split()[0]))
+        assert err.value.line == 5 and "non-monotonic" in str(err.value)
+        with pytest.raises(TouchstoneError) as err:
+            read_s3p("\n".join(lines))
+        assert err.value.line == 9 and "row 2" in str(err.value)
+
+    def test_db_overflow_named(self):
+        with pytest.raises(TouchstoneError) as err:
+            read_s3p(MINIMAL.replace("MA", "DB").replace("0.4 30", "9e9 30"))
+        assert err.value.line == 4
+
+    def test_single_line_content_is_not_a_path(self):
+        with pytest.raises(TouchstoneError) as err:
+            read_s3p("# Hz S RI R 50")
+        assert "no data records" in str(err.value)
 
     def test_data_before_option_line(self):
         with pytest.raises(TouchstoneError) as err:
