@@ -11,25 +11,47 @@ import argparse
 import io
 import json
 import sys
-from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .errors import TsvKitError, ValidationError
-from .network import FrequencyGrid, verify_dual_route, z_matrix_at, z_sweep, z_sweep_csv
-from .params import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, GEOMETRY_KEYS, MATERIAL_KEYS,
-                     geometry_from_mapping, load_config, materials_from_mapping)
-from .rlgc import c_d, c_ox, c_si_g_si, depletion_width, l_tsv, r_dc, rlgc_at
-from .sparams import magnitude_db, max_singular_value, s_sweep, s_sweep_csv, s_to_z, z_to_s
-from .spur import (BUILTIN_CALIBRATION_POINTS, OscillatorModel, amplitude_sweep,
-                   calibrate_k_sub, frequency_sweep, slope_per_octave,
-                   substrate_transfer, substrate_transfer_mna)
+from .errors import ConfigError, TsvKitError, ValidationError
+from .network import FrequencyGrid, verify_dual_route, z_sweep, z_sweep_csv
+from .numerics import csv_text
+from .params import (GEOMETRY_KEYS, MATERIAL_KEYS, geometry_from_mapping, load_config,
+                     materials_from_mapping)
+from .rlgc import r_dc, rlgc_at
+from .sparams import magnitude_db, max_singular_value, s_sweep, s_sweep_csv, s_to_z
+from .spur import (BUILTIN_CALIBRATION_POINTS, DEFAULT_F_OSC, REPLICA_SUBSTRATE_LOAD,
+                   OscillatorModel, amplitude_sweep, calibrate_k_sub, frequency_sweep,
+                   slope_per_octave, substrate_transfer, substrate_transfer_mna)
 from .touchstone import read_s3p, write_s3p
 
 GRID_KEYS = ("f_start", "f_stop", "points", "spacing")
 SPUR_KEYS = ("f_osc", "k_sub", "carrier_power_db", "substrate_load", "z0")
 CONFIG_KEYS = GEOMETRY_KEYS + MATERIAL_KEYS + GRID_KEYS + SPUR_KEYS
+
+# The element table of `extract` and the element metrics of `sweep`: name -> unit.
+ELEMENT_UNITS = {"r_dc": "ohm", "l_tsv": "H", "c_ox": "F", "c_d": "F", "c_si": "F", "g_si": "S"}
+SWEEP_METRICS = tuple(ELEMENT_UNITS) + ("s21_db", "s31_db")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad command line as a ValidationError, so main prints one error line."""
+
+    def error(self, message):
+        raise ValidationError(message)
+
+
+def _step_count(text):
+    """argparse type of --steps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
 
 
 def _add_param_flags(parser):
@@ -37,7 +59,7 @@ def _add_param_flags(parser):
     for key in GEOMETRY_KEYS + MATERIAL_KEYS:
         group.add_argument(f"--{key.replace('_', '-')}", dest=key, type=float, default=None)
     parser.add_argument("--config", default=None, help="key/value config file (name = value)")
-    parser.add_argument("--seed-params", choices=("reference", "default"), default=None,
+    parser.add_argument("--seed-params", choices=("reference",), default=None,
                         help="pin geometry and material constants to the built-in "
                              "reference set, overriding any config file")
     parser.add_argument("--json", action="store_true", help="machine-readable summary on stdout")
@@ -48,6 +70,28 @@ def _add_grid_flags(parser):
     parser.add_argument("--f-stop", type=float, default=None, help="Hz (default 100e9)")
     parser.add_argument("--points", type=int, default=None, help="grid size (default 201)")
     parser.add_argument("--spacing", choices=("linear", "logarithmic"), default=None)
+
+
+def _pick(args, values, key, default):
+    """A setting from its flag, else from the config file, else ``default``.
+
+    A config value is converted to the type of ``default`` (float for None).
+    """
+    flag = getattr(args, key, None)
+    if flag is not None:
+        return flag
+    if key not in values:
+        return default
+    kind = float if default is None else type(default)
+    try:
+        return kind(values[key])
+    except ValueError:
+        raise ConfigError(f"{key} = {values[key]!r} is not a {kind.__name__}") from None
+
+
+def _write_text(path, text):
+    with open(path, "w", encoding="ascii", newline="\n") as fh:
+        fh.write(text)
 
 
 def _resolve(args):
@@ -65,122 +109,76 @@ def _resolve(args):
     geom = geometry_from_mapping(values)
     mat = materials_from_mapping(values)
 
-    f_start = args.f_start if getattr(args, "f_start", None) is not None \
-        else float(values.get("f_start", 1e6))
-    f_stop = args.f_stop if getattr(args, "f_stop", None) is not None \
-        else float(values.get("f_stop", 100e9))
-    n = args.points if getattr(args, "points", None) is not None \
-        else int(values.get("points", 201))
-    spacing = args.spacing if getattr(args, "spacing", None) is not None \
-        else str(values.get("spacing", "logarithmic"))
-    if spacing == "linear":
-        grid = FrequencyGrid.linear(f_start, f_stop, n)
-    else:
-        grid = FrequencyGrid.logarithmic(f_start, f_stop, n)
+    spacing = _pick(args, values, "spacing", "logarithmic")
+    make_grid = FrequencyGrid.linear if spacing == "linear" else FrequencyGrid.logarithmic
+    grid = make_grid(_pick(args, values, "f_start", 1e6), _pick(args, values, "f_stop", 100e9),
+                     _pick(args, values, "points", 201))
     return geom, mat, grid, values
 
 
-def _element_summary(geom, mat):
-    wd = depletion_width(mat)
-    cap_si, cond_si = c_si_g_si(geom, mat)
-    return {
-        "r_dc_ohm": r_dc(geom, mat),
-        "l_tsv_h": l_tsv(geom, mat),
-        "c_ox_f": c_ox(geom, mat),
-        "c_d_f": c_d(geom, mat, wd),
-        "c_si_f": cap_si,
-        "g_si_s": cond_si,
-    }
-
-
-def _print_element_table(elements):
-    print("element     value            unit")
-    units = {"r_dc_ohm": "ohm", "l_tsv_h": "H", "c_ox_f": "F",
-             "c_d_f": "F", "c_si_f": "F", "g_si_s": "S"}
-    for key, value in elements.items():
-        name = key.rsplit("_", 1)[0]
-        print(f"{name:<10}  {value:.6e}     {units[key]}")
+def _elements(geom, mat) -> dict:
+    """The ELEMENT_UNITS values: R_dc and the frequency-independent values of rlgc_at."""
+    el = rlgc_at(1e9, geom, mat)   # the frequency sets only the resistance, not reported
+    return {"r_dc": r_dc(geom, mat), "l_tsv": el.l_total, "c_ox": el.c_ox, "c_d": el.c_d,
+            "c_si": el.c_si, "g_si": el.g_si}
 
 
 def cmd_extract(args) -> int:
     geom, mat, grid, values = _resolve(args)
-    z0 = float(values.get("z0", 50.0)) if args.z0 is None else args.z0
+    z0 = _pick(args, values, "z0", 50.0)
     zs = z_sweep(grid, geom, mat)
     ss = s_sweep(zs, z0=z0)
-    elements = _element_summary(geom, mat)
+    elements = _elements(geom, mat)
 
     comments = [f"tsvkit {__version__} three-port TSV pair S-parameters"]
     comments += [f"{k} = {getattr(geom, k):.9e}" for k in GEOMETRY_KEYS]
     comments += [f"{k} = {getattr(mat, k):.9e}" for k in MATERIAL_KEYS]
-    csv_text = s_sweep_csv(ss, full=args.full_s)
-    z_csv_text = z_sweep_csv(zs) if args.z_csv else None
+    s_csv = s_sweep_csv(ss, full=args.full_s)
+    z_csv = z_sweep_csv(zs) if args.z_csv else None
 
     write_s3p(ss, args.out, fmt=args.format, comments=comments)
-    with open(args.csv, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(csv_text)
+    _write_text(args.csv, s_csv)
     if args.z_csv:
-        with open(args.z_csv, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(z_csv_text)
+        _write_text(args.z_csv, z_csv)
 
     summary = {
         "s3p": args.out,
         "csv": args.csv,
         "records": len(ss),
         "z0_ohm": z0,
-        "elements": elements,
+        "elements": {f"{k}_{ELEMENT_UNITS[k].lower()}": v for k, v in elements.items()},
     }
     if args.json:
         print(json.dumps(summary, sort_keys=True))
     else:
-        _print_element_table(elements)
+        print("element     value            unit")
+        for name, value in elements.items():
+            print(f"{name:<10}  {value:.6e}     {ELEMENT_UNITS[name]}")
         print(f"wrote {len(ss)} records to {args.out} and {args.csv}")
     return 0
 
 
-SWEEP_METRICS = ("c_ox", "c_d", "c_si", "g_si", "l_tsv", "r_dc", "s21_db", "s31_db")
-
-
 def _sweep_metric(name, geom, mat, probe_frequency, z0):
-    if name == "c_ox":
-        return c_ox(geom, mat)
-    if name == "c_d":
-        return c_d(geom, mat, depletion_width(mat))
-    if name == "c_si":
-        return c_si_g_si(geom, mat)[0]
-    if name == "g_si":
-        return c_si_g_si(geom, mat)[1]
-    if name == "l_tsv":
-        return l_tsv(geom, mat)
-    if name == "r_dc":
-        return r_dc(geom, mat)
-    sp = z_to_s(z_matrix_at(probe_frequency, rlgc_at(probe_frequency, geom, mat)), z0=z0)
-    return magnitude_db(sp.s[1, 0] if name == "s21_db" else sp.s[2, 0])
+    if name in ELEMENT_UNITS:
+        return _elements(geom, mat)[name]
+    s = s_sweep(z_sweep(FrequencyGrid([probe_frequency]), geom, mat), z0).s[0]
+    return magnitude_db(s[1, 0] if name == "s21_db" else s[2, 0])
 
 
 def cmd_sweep(args) -> int:
     if len(args.param) != 1:
-        print("error: exactly one --param may be swept", file=sys.stderr)
-        return 2
+        raise ValidationError("exactly one --param may be swept")
     param = args.param[0]
     geom, mat, _, values = _resolve(args)
-    z0 = float(values.get("z0", 50.0)) if args.z0 is None else args.z0
-    swept = np.linspace(args.start, args.stop, args.steps)
+    z0 = _pick(args, values, "z0", 50.0)
     rows = []
-    for value in swept:
-        if param in GEOMETRY_KEYS:
-            g = replace(geom, **{param: float(value)})
-            m = mat
-        else:
-            g = geom
-            m = replace(mat, **{param: float(value)})
-        rows.append((float(value), _sweep_metric(args.metric, g, m,
-                                                 args.probe_frequency, z0)))
-    lines = [f"{param},{args.metric}"]
-    lines += [f"{v:.12e},{r:.12e}" for v, r in rows]
-    text = "\n".join(lines) + "\n"
+    for value in np.linspace(args.start, args.stop, args.steps).tolist():
+        point = {param: value}
+        g, m = geometry_from_mapping(point, geom), materials_from_mapping(point, mat)
+        rows.append((value, _sweep_metric(args.metric, g, m, args.probe_frequency, z0)))
+    text = csv_text(f"{param},{args.metric}", np.array(rows))
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     if args.json:
         print(json.dumps({"param": param, "metric": args.metric,
                           "rows": rows, "out": args.out}, sort_keys=True))
@@ -217,33 +215,26 @@ def _parse_load(text):
 
 
 def cmd_spur(args) -> int:
-    if args.steps < 1:
-        raise ValidationError(f"--steps must be at least 1, got {args.steps}")
     geom, mat, _, values = _resolve(args)
-    load_text = args.substrate_load if args.substrate_load is not None \
-        else str(values.get("substrate_load", "50"))
-    load = _parse_load(load_text)
-    f_osc = args.f_osc if args.f_osc is not None else float(values.get("f_osc", 10.917e9))
+    load = _parse_load(_pick(args, values, "substrate_load", str(REPLICA_SUBSTRATE_LOAD)))
+    f_osc = _pick(args, values, "f_osc", DEFAULT_F_OSC)
 
-    k_sub = args.k_sub if args.k_sub is not None else values.get("k_sub")
-    if k_sub is not None:
-        cal = None
-        osc = OscillatorModel(k_sub=float(k_sub), f_osc=f_osc)
-    else:
+    k_sub = _pick(args, values, "k_sub", None)
+    cal = None
+    if k_sub is None:
         cal = calibrate_k_sub(_parse_cal_points(args), geom, mat, substrate_load=load)
-        osc = OscillatorModel(k_sub=cal.k_sub, f_osc=f_osc)
+        k_sub = cal.k_sub
+    osc = OscillatorModel(k_sub=k_sub, f_osc=f_osc)
 
-    if args.mode == "amplitude":
-        start = 0.1 if args.start is None else args.start
-        stop = 0.7 if args.stop is None else args.stop
-        swept = np.linspace(start, stop, args.steps)
+    amplitude_mode = args.mode == "amplitude"
+    start, stop = (0.1, 0.7) if amplitude_mode else (0.5e9, 2e9)
+    swept = np.linspace(start if args.start is None else args.start,
+                        stop if args.stop is None else args.stop, args.steps)
+    if amplitude_mode:
         rows = amplitude_sweep(osc, geom, mat, swept, f_agg=args.f_agg,
                                substrate_load=load, exact_bessel=args.exact_bessel)
         header = "amplitude_v,spur_dbc"
     else:
-        start = 0.5e9 if args.start is None else args.start
-        stop = 2e9 if args.stop is None else args.stop
-        swept = np.linspace(start, stop, args.steps)
         rows = frequency_sweep(osc, geom, mat, swept, amplitude_vpp=args.amplitude,
                                substrate_load=load, exact_bessel=args.exact_bessel)
         header = "frequency_hz,spur_dbc"
@@ -253,11 +244,9 @@ def cmd_spur(args) -> int:
     except TsvKitError:
         slope = None   # fewer than two finite points (e.g. zero-amplitude rows)
     total = rows[-1][1] - rows[0][1]
-    lines = [header] + [f"{x:.12e},{y:.12e}" for x, y in rows]
-    text = "\n".join(lines) + "\n"
+    text = csv_text(header, np.array(rows))
     if args.out:
-        with open(args.out, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(text)
+        _write_text(args.out, text)
     summary = {
         "mode": args.mode,
         "f_osc_hz": osc.f_osc,
@@ -269,7 +258,7 @@ def cmd_spur(args) -> int:
         "last": {"swept": rows[-1][0], "spur_dbc": rows[-1][1]},
         "out": args.out,
     }
-    if args.mode == "amplitude":
+    if amplitude_mode:
         summary["sideband_hz"] = osc.f_osc + args.f_agg
     else:
         summary["sideband_first_hz"] = osc.f_osc + rows[0][0]
@@ -280,25 +269,23 @@ def cmd_spur(args) -> int:
         if not args.out:
             print(text, end="")
         print(f"k_sub = {osc.k_sub:.6e} Hz/V")
-        if args.mode == "amplitude":
+        if amplitude_mode:
             print(f"upper sideband at f_osc + f_agg = {(osc.f_osc + args.f_agg) / 1e9:.4f} GHz")
+            span = f"{rows[0][0]:g} V -> {rows[-1][0]:g} V"
         else:
             print(f"upper sidebands at f_osc + f_agg = "
                   f"{(osc.f_osc + rows[0][0]) / 1e9:.4f} .. "
                   f"{(osc.f_osc + rows[-1][0]) / 1e9:.4f} GHz")
+            span = f"{rows[0][0] / 1e9:g} GHz -> {rows[-1][0] / 1e9:g} GHz"
         if slope is not None:
             print(f"slope per octave: {slope:+.3f} dB")
-        if args.mode == "frequency":
-            span = f"{rows[0][0] / 1e9:g} GHz -> {rows[-1][0] / 1e9:g} GHz"
-        else:
-            span = f"{rows[0][0]:g} V -> {rows[-1][0]:g} V"
         print(f"total change {span}: {total:+.3f} dB")
     return 0
 
 
 def cmd_validate(args) -> int:
     geom, mat, grid, values = _resolve(args)
-    z0 = float(values.get("z0", 50.0)) if args.z0 is None else args.z0
+    z0 = _pick(args, values, "z0", 50.0)
     checks = []
 
     def check(name, passed, detail):
@@ -341,7 +328,7 @@ def cmd_validate(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tsvkit",
         description="Signal-ground TSV pair: RLGC extraction, three-port "
                     "S-parameters, Touchstone export and substrate-coupled "
@@ -365,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", action="append", required=True, choices=GEOMETRY_KEYS + MATERIAL_KEYS)
     p.add_argument("--start", type=float, required=True)
     p.add_argument("--stop", type=float, required=True)
-    p.add_argument("--steps", type=int, default=11)
+    p.add_argument("--steps", type=_step_count, default=11)
     p.add_argument("--metric", choices=SWEEP_METRICS, required=True)
     p.add_argument("--probe-frequency", type=float, default=10e9,
                    help="frequency for the S-parameter metrics (default 10 GHz)")
@@ -379,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--start", type=float, default=None,
                    help="sweep start (V for amplitude mode, Hz for frequency mode)")
     p.add_argument("--stop", type=float, default=None)
-    p.add_argument("--steps", type=int, default=7)
+    p.add_argument("--steps", type=_step_count, default=7)
     p.add_argument("--f-agg", type=float, default=1e9,
                    help="aggressor frequency for amplitude mode (default 1 GHz)")
     p.add_argument("--amplitude", type=float, default=0.3,
@@ -389,9 +376,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-sub", type=float, default=None,
                    help="explicit pushing sensitivity in Hz/V (skips calibration)")
     p.add_argument("--f-osc", type=float, default=None,
-                   help="free-running frequency, Hz (default 10.917e9)")
+                   help=f"free-running frequency, Hz (default {DEFAULT_F_OSC:g})")
     p.add_argument("--substrate-load", default=None,
-                   help="substrate port load in ohm, or 'open' (default 50)")
+                   help="substrate port load in ohm, or 'open' "
+                        f"(default {REPLICA_SUBSTRATE_LOAD:g})")
     p.add_argument("--exact-bessel", action="store_true")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_spur)
@@ -405,9 +393,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except TsvKitError as err:
         print(f"error: {err}", file=sys.stderr)

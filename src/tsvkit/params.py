@@ -6,10 +6,20 @@ conversion belongs at I/O boundaries, never in formula code.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from .constants import K_B, Q_E
 from .errors import ConfigError, ValidationError
+
+
+def _require_positive_fields(obj) -> None:
+    """Every field must be a finite, strictly positive real number (not a bool)."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not (value > 0 and math.isfinite(value))):
+            raise ValidationError(f"{f.name} must be finite and strictly positive, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -22,10 +32,7 @@ class TsvGeometry:
     liner_thickness: float   # m, dielectric liner
 
     def __post_init__(self):
-        for name in ("height", "radius", "pitch", "liner_thickness"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValidationError(f"{name} must be strictly positive, got {value!r}")
+        _require_positive_fields(self)
         if self.liner_thickness >= self.radius:
             raise ValidationError(
                 f"liner_thickness {self.liner_thickness} must be below radius "
@@ -52,10 +59,7 @@ class MaterialParams:
     temperature: float  # K
 
     def __post_init__(self):
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and value > 0):
-                raise ValidationError(f"{f.name} must be strictly positive, got {value!r}")
+        _require_positive_fields(self)
         if self.n_a <= self.n_i:
             raise ValidationError(
                 f"n_a ({self.n_a}) must exceed n_i ({self.n_i}); otherwise the "

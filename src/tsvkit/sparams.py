@@ -39,39 +39,37 @@ class ThreePortS:
         object.__setattr__(self, "s", s)
 
 
-def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> ThreePortS:
-    """Convert one impedance matrix to scattering parameters."""
-    eye = np.eye(3)
-    a = zp.z + z0 * eye
+def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency: float, name: str,
+                   note: str = "") -> np.ndarray:
+    """b @ inv(a) by an extended-precision solve, refused above COND_LIMIT.
+
+    ``name`` spells the matrix ``a`` in the :class:`ConversionError` messages.
+    """
     cond = condition_number(a)
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise ConversionError(
-            f"(Z + z0 I) is singular or ill-conditioned at {zp.frequency:.6g} Hz "
-            f"(condition number {cond:.3e})", condition_number=cond)
+            f"{name} is singular or ill-conditioned at {frequency:.6g} Hz "
+            f"(condition number {cond:.3e}){note}", condition_number=cond)
     try:
-        # S = (Z - z0 I) A^-1  via  S^T = solve(A^T, (Z - z0 I)^T)
-        s = solve_extended(a.T, (zp.z - z0 * eye).T).T
+        # x = b a^-1  via  x^T = solve(a^T, b^T)
+        return solve_extended(a.T, b.T).T
     except NetworkDegeneracyError as err:
         raise ConversionError(
-            f"(Z + z0 I) singular at {zp.frequency:.6g} Hz", condition_number=cond) from err
+            f"{name} singular at {frequency:.6g} Hz", condition_number=cond) from err
+
+
+def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> ThreePortS:
+    """Convert one impedance matrix to scattering parameters: S = (Z - z0 I)(Z + z0 I)^-1."""
+    eye = np.eye(3)
+    s = _guarded_solve(zp.z + z0 * eye, zp.z - z0 * eye, zp.frequency, "(Z + z0 I)")
     return ThreePortS(frequency=zp.frequency, s=s, z0=z0)
 
 
 def s_to_z(sp: ThreePortS) -> ThreePortZ:
     """Invert the scattering conversion: Z = z0 (I + S)(I - S)^-1."""
     eye = np.eye(3)
-    a = eye - sp.s
-    cond = condition_number(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        raise ConversionError(
-            f"(I - S) is singular or ill-conditioned at {sp.frequency:.6g} Hz "
-            f"(condition number {cond:.3e}); S has a near-unit eigenvalue",
-            condition_number=cond)
-    try:
-        z = solve_extended(a.T, (sp.z0 * (eye + sp.s)).T).T
-    except NetworkDegeneracyError as err:
-        raise ConversionError(
-            f"(I - S) singular at {sp.frequency:.6g} Hz", condition_number=cond) from err
+    z = _guarded_solve(eye - sp.s, sp.z0 * (eye + sp.s), sp.frequency, "(I - S)",
+                       "; S has a near-unit eigenvalue")
     return ThreePortZ(frequency=sp.frequency, z=z)
 
 

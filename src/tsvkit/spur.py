@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from .errors import (CalibrationWarning, ModelValidityError, NarrowbandWarning,
                      ValidationError)
-from .network import nodal_admittance, assemble_topology
+from .network import assemble_topology, branch_impedances, nodal_admittance
 from .numerics import solve_extended
 from .params import MaterialParams, TsvGeometry
 from .rlgc import rlgc_at
@@ -93,20 +93,18 @@ def substrate_transfer(f: float, geom: TsvGeometry, mat: MaterialParams,
     Port 3 is terminated in ``termination``; the substrate port carries
     ``substrate_load`` to ground (None = open).  At low frequency the lateral
     silicon path conducts, so the open-load transfer approaches unity while a
-    finite load divides it down; it never exceeds unity.
+    finite load divides it down; it never exceeds unity.  The branches come
+    from :func:`~tsvkit.network.branch_impedances`, not from the 3x3 Z-matrix,
+    whose Z11 = Z_seg + Z_lat + Z_stack cancels ~8 digits at low frequency.
     """
-    if not (f > 0 and math.isfinite(f)):
-        raise ValidationError(f"frequency must be finite and positive, got {f!r}")
     if not (termination > 0 and math.isfinite(termination)):
         raise ValidationError(f"termination must be finite and positive, got {termination!r}")
     if substrate_load is not None and not (substrate_load > 0 and math.isfinite(substrate_load)):
         raise ValidationError(
             f"substrate_load must be positive, finite or None, got {substrate_load!r}")
     el = rlgc_at(f, geom, mat)
-    s = 2j * math.pi * f
-    z_seg = el.r_half + s * el.l_half
-    z_stack = 1.0 / (s * el.c_ox) + 1.0 / (s * el.c_d)
-    z_lat = 1.0 / (el.g_si + s * el.c_si)
+    # float(): a numpy scalar frequency would carry the algebra in slower numpy scalars
+    z_seg, z_lat, z_stack = branch_impedances(float(f), el.r_half, el)
     z_down = z_stack if substrate_load is None else \
         z_stack * substrate_load / (z_stack + substrate_load)
     y_sub_path = 1.0 / (z_lat + z_down)

@@ -2,11 +2,16 @@
 
 import json
 import math
+from dataclasses import replace
 
 import pytest
 
 import reference_values as ref
+from tsvkit import DEFAULT_GEOMETRY, DEFAULT_MATERIALS
 from tsvkit.cli import main
+from tsvkit.network import z_matrix_mna
+from tsvkit.rlgc import rlgc_at
+from tsvkit.sparams import z_to_s
 from tsvkit.touchstone import read_s3p
 
 
@@ -79,6 +84,17 @@ class TestExtract:
         lines = zcsv.read_text().strip().splitlines()
         assert len(lines) == 6
         assert lines[0].startswith("frequency_hz,re_z11")
+
+
+    def test_element_table_lines(self, tmp_path, capsys):
+        code, out, _ = run(capsys, "extract", "--points", "3",
+                           "--out", str(tmp_path / "p.s3p"), "--csv", str(tmp_path / "p.csv"))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[0] == "element     value            unit"
+        assert [(ln.split()[0], ln.split()[-1]) for ln in lines[1:7]] == [
+            ("r_dc", "ohm"), ("l_tsv", "H"), ("c_ox", "F"),
+            ("c_d", "F"), ("c_si", "F"), ("g_si", "S")]
 
 
 class TestConfigPrecedence:
@@ -172,6 +188,19 @@ class TestSweep:
         assert values[-1] < values[0]
 
 
+    @pytest.mark.parametrize("metric, row", [("s21_db", 1), ("s31_db", 2)])
+    def test_s_metrics_match_nodal_reference(self, metric, row, capsys):
+        code, out, _ = run(capsys, "sweep", "--param", "pitch", "--start", "20e-6",
+                           "--stop", "80e-6", "--steps", "4", "--metric", metric,
+                           "--probe-frequency", "3e9", "--z0", "75", "--json")
+        assert code == 0
+        for pitch, value in json.loads(out)["rows"]:
+            geom = replace(DEFAULT_GEOMETRY, pitch=pitch)
+            s = z_to_s(z_matrix_mna(3e9, rlgc_at(3e9, geom, DEFAULT_MATERIALS)), z0=75.0).s
+            expected = 20.0 * math.log10(abs(s[row, 0]))
+            assert value == pytest.approx(expected, rel=1e-9)
+
+
 class TestSpur:
     def test_amplitude_mode_replica(self, tmp_path, capsys):
         out_csv = tmp_path / "amp.csv"
@@ -256,3 +285,68 @@ class TestValidate:
         names = {c["name"] for c in payload["checks"]}
         assert {"dual_route_z", "reciprocity", "passivity",
                 "z_s_roundtrip", "touchstone_roundtrip"} <= names
+
+
+class TestCommandLineErrors:
+    """A bad command line ends in one 'error:' line and exit code 2, writing nothing."""
+
+    @staticmethod
+    def one_error_line(err):
+        return err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("steps", ["-1", "0"])
+    def test_sweep_steps_below_one(self, steps, tmp_path, capsys):
+        out_csv = tmp_path / "r.csv"
+        code, _, err = run(capsys, "sweep", "--param", "radius", "--start", "1e-6",
+                           "--stop", "2e-6", "--steps", steps, "--metric", "c_ox",
+                           "--out", str(out_csv))
+        assert code == 2
+        assert self.one_error_line(err) and "--steps" in err
+        assert not out_csv.exists()
+
+    def test_spur_negative_steps(self, tmp_path, capsys):
+        out_csv = tmp_path / "s.csv"
+        code, _, err = run(capsys, "spur", "--mode", "amplitude", "--steps", "-1",
+                           "--out", str(out_csv))
+        assert code == 2
+        assert self.one_error_line(err)
+        assert not out_csv.exists()
+
+    def test_bad_int(self, capsys):
+        code, out, err = run(capsys, "spur", "--mode", "amplitude", "--steps", "x")
+        assert code == 2
+        assert self.one_error_line(err) and "'x'" in err
+        assert out == ""
+
+    def test_bad_choice(self, tmp_path, capsys):
+        code, _, err = run(capsys, "extract", "--seed-params", "default",
+                           "--out", str(tmp_path / "p.s3p"), "--csv", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert self.one_error_line(err) and "--seed-params" in err
+        assert not (tmp_path / "p.s3p").exists()
+
+    def test_missing_required_flag(self, capsys):
+        code, _, err = run(capsys, "spur")
+        assert code == 2
+        assert self.one_error_line(err) and "--mode" in err
+
+    def test_infinite_height(self, tmp_path, capsys):
+        code, _, err = run(capsys, "extract", "--height", "inf",
+                           "--out", str(tmp_path / "p.s3p"), "--csv", str(tmp_path / "p.csv"))
+        assert code == 2
+        assert self.one_error_line(err) and err.startswith("error: height ")
+        assert not (tmp_path / "p.s3p").exists()
+
+    def test_non_numeric_config_setting(self, tmp_path, capsys):
+        cfg = tmp_path / "spur.cfg"
+        cfg.write_text("f_osc = fast\n")
+        code, _, err = run(capsys, "spur", "--mode", "amplitude", "--config", str(cfg))
+        assert code == 2
+        assert self.one_error_line(err) and "f_osc" in err
+
+    @pytest.mark.parametrize("flag", ["--help", "--version"])
+    def test_help_and_version_exit_zero(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([flag])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Parameter validation, thermal voltage, config-file parsing."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -86,3 +87,23 @@ spacing = linear
     def test_invalid_override_caught_at_construction(self):
         with pytest.raises(ValidationError):
             geometry_from_mapping({"pitch": 1e-6})
+
+
+
+class TestFinitePositiveFields:
+    """Both parameter classes share one check: finite, strictly positive, not a bool."""
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, True])
+    @pytest.mark.parametrize("field", ["height", "radius"])
+    def test_geometry_rejects(self, field, bad):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            replace(DEFAULT_GEOMETRY, **{field: bad})
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, True])
+    @pytest.mark.parametrize("field", ["rho_cu", "temperature"])
+    def test_materials_reject(self, field, bad):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            replace(DEFAULT_MATERIALS, **{field: bad})
+
+    def test_int_values_accepted(self):
+        assert replace(DEFAULT_MATERIALS, temperature=300).temperature == 300
