@@ -28,7 +28,7 @@ from .spur import (BUILTIN_CALIBRATION_POINTS, DEFAULT_F_OSC, REPLICA_SUBSTRATE_
 from .touchstone import read_s3p, write_s3p
 
 GRID_KEYS = ("f_start", "f_stop", "points", "spacing")
-SPUR_KEYS = ("f_osc", "k_sub", "carrier_power_db", "substrate_load", "z0")
+SPUR_KEYS = ("f_osc", "k_sub", "substrate_load", "z0")
 CONFIG_KEYS = GEOMETRY_KEYS + MATERIAL_KEYS + GRID_KEYS + SPUR_KEYS
 
 # The element table of `extract` and the element metrics of `sweep`: name -> unit.
@@ -83,6 +83,8 @@ def _pick(args, values, key, default):
     if key not in values:
         return default
     kind = float if default is None else type(default)
+    if kind is int and isinstance(values[key], float) and not values[key].is_integer():
+        raise ConfigError(f"{key} = {values[key]!r} is not a whole number")
     try:
         return kind(values[key])
     except ValueError:
@@ -110,6 +112,8 @@ def _resolve(args):
     mat = materials_from_mapping(values)
 
     spacing = _pick(args, values, "spacing", "logarithmic")
+    if spacing not in ("linear", "logarithmic"):
+        raise ConfigError(f"spacing = {spacing!r} is not 'linear' or 'logarithmic'")
     make_grid = FrequencyGrid.linear if spacing == "linear" else FrequencyGrid.logarithmic
     grid = make_grid(_pick(args, values, "f_start", 1e6), _pick(args, values, "f_stop", 100e9),
                      _pick(args, values, "points", 201))
@@ -300,7 +304,7 @@ def cmd_validate(args) -> int:
     s_scale = np.abs(s).max(axis=(1, 2))
     worst_sym = float((np.abs(s - s.transpose(0, 2, 1)).max(axis=(1, 2)) / s_scale).max())
     worst_sigma = float(max_singular_value(ss).max())
-    z_back = np.array([s_to_z(sp).z for sp in ss])
+    z_back = s_to_z(ss)
     worst_rt = float((np.abs(z_back - zs.z) / np.abs(zs.z)).max())
     check("reciprocity", worst_sym <= 1e-9, f"worst |S - S^T|/|S| = {worst_sym:.3e}")
     check("passivity", worst_sigma <= 1.0 + 1e-9, f"max singular value {worst_sigma:.12f}")

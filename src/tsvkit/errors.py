@@ -14,11 +14,15 @@ class GeometryOverlapError(ValidationError):
 
 
 class NetworkDegeneracyError(TsvKitError, ArithmeticError):
-    """Singular or numerically degenerate nodal system."""
+    """Singular or numerically degenerate nodal system.
 
-    def __init__(self, message, frequency=None):
+    ``index`` is the member of a stacked solve that failed, when one did.
+    """
+
+    def __init__(self, message, frequency=None, index=None):
         super().__init__(message)
         self.frequency = frequency
+        self.index = index
 
 
 class ConversionError(TsvKitError, ArithmeticError):

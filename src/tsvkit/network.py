@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetworkDegeneracyError, ValidationError
-from .numerics import csv_text, solve_extended
+from .numerics import csv_text, pieces, solve_extended
 from .params import MaterialParams, TsvGeometry
 from .rlgc import RlgcElements, r_total, rlgc_at
 
@@ -140,20 +140,28 @@ class NetworkDescription:
     branches: tuple
 
 
-def assemble_topology(elements: RlgcElements) -> NetworkDescription:
-    """Node/branch description of the fixed three-port network."""
-    for name in ("r_half", "l_half", "c_ox", "c_d", "c_si", "g_si"):
-        if getattr(elements, name) < MIN_ELEMENT:
+def assemble_topology(elements: RlgcElements, r_half=None) -> NetworkDescription:
+    """Node/branch description of the fixed three-port network.
+
+    ``r_half`` (default ``elements.r_half``) is the half-segment resistance,
+    a scalar or an array over the frequency axis as in
+    :func:`branch_impedances`; the other values come from ``elements``.
+    """
+    r_half = elements.r_half if r_half is None else r_half
+    for name, value in (("r_half", np.min(r_half)), ("l_half", elements.l_half),
+                        ("c_ox", elements.c_ox), ("c_d", elements.c_d),
+                        ("c_si", elements.c_si), ("g_si", elements.g_si)):
+        if value < MIN_ELEMENT:
             raise ValidationError(
-                f"{name} = {getattr(elements, name)} below {MIN_ELEMENT}: "
+                f"{name} = {value} below {MIN_ELEMENT}: "
                 "degenerate element would produce a singular network"
             )
     return NetworkDescription(
         nodes=("port1", "mid", "port3", "port2"),
         reference=REFERENCE_NODE,
         branches=(
-            Branch("port1", "mid", "series_rl", (elements.r_half, elements.l_half)),
-            Branch("mid", "port3", "series_rl", (elements.r_half, elements.l_half)),
+            Branch("port1", "mid", "series_rl", (r_half, elements.l_half)),
+            Branch("mid", "port3", "series_rl", (r_half, elements.l_half)),
             Branch("mid", "port2", "conductance", (elements.g_si,)),
             Branch("mid", "port2", "capacitance", (elements.c_si,)),
             Branch("port2", REFERENCE_NODE, "series_capacitance", (elements.c_ox, elements.c_d)),
@@ -215,19 +223,19 @@ def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
     return ThreePortZ(frequency=f, z=z)
 
 
-def _stamp(y: np.ndarray, index: dict, node_a: str, node_b: str, admittance: complex) -> None:
+def _stamp(y: np.ndarray, index: dict, node_a: str, node_b: str, admittance) -> None:
     a = index.get(node_a, -1)
     b = index.get(node_b, -1)
     if a >= 0:
-        y[a, a] += admittance
+        y[..., a, a] += admittance
     if b >= 0:
-        y[b, b] += admittance
+        y[..., b, b] += admittance
     if a >= 0 and b >= 0:
-        y[a, b] -= admittance
-        y[b, a] -= admittance
+        y[..., a, b] -= admittance
+        y[..., b, a] -= admittance
 
 
-def nodal_admittance(f: float, description: NetworkDescription) -> tuple[np.ndarray, dict]:
+def nodal_admittance(f, description: NetworkDescription) -> tuple[np.ndarray, dict]:
     """Complex nodal admittance matrix with the reference node eliminated.
 
     Series RC stacks get their internal node stamped explicitly, so this route
@@ -236,6 +244,10 @@ def nodal_admittance(f: float, description: NetworkDescription) -> tuple[np.ndar
     admittances ~12 orders of magnitude apart, and rounding the small ones
     into the large ones at double precision already costs ~1e-8 of the Z22
     entries at the bottom of the default grid.
+
+    ``f`` is one frequency, giving one (n, n) matrix, or an (N,) vector,
+    giving a stack (N, n, n); each branch value is then a scalar or an (N,)
+    array over the same frequencies.
     """
     s = np.clongdouble(2j * math.pi) * np.clongdouble(f)
     one = np.clongdouble(1.0)
@@ -261,35 +273,55 @@ def nodal_admittance(f: float, description: NetworkDescription) -> tuple[np.ndar
             rows.append((br.node_a, br.node_b, s * np.clongdouble(br.values[0])))
         else:
             raise ValidationError(f"unknown branch kind {br.kind!r}")
-    y = np.zeros((len(index), len(index)), dtype=np.clongdouble)
+    y = np.zeros(np.shape(s) + (len(index), len(index)), dtype=np.clongdouble)
     for node_a, node_b, adm in rows:
         _stamp(y, index, node_a, node_b, adm)
     return y, index
 
 
-def z_matrix_mna(f: float, elements: RlgcElements) -> ThreePortZ:
+def _port_z(f, elements: RlgcElements, r_half) -> np.ndarray:
+    """Open-circuit port voltages for unit port currents: (3, 3), or (N, 3, 3) over f."""
+    y, index = nodal_admittance(f, assemble_topology(elements, r_half))
+    ports = [index[p] for p in PORT_NODES]
+    rhs = np.zeros((y.shape[-1], 3))
+    rhs[ports, range(3)] = 1.0
+    try:
+        v = solve_extended(y, np.broadcast_to(rhs, y.shape[:-1] + (3,)))
+    except NetworkDegeneracyError as err:
+        fk = float(np.atleast_1d(f)[err.index])
+        raise NetworkDegeneracyError(
+            f"singular nodal matrix at {fk:.6g} Hz", frequency=fk) from err
+    z = v[..., ports, :]
+    bad = np.flatnonzero(~np.isfinite(z).all(axis=(-2, -1)))
+    if bad.size:
+        fk = float(np.atleast_1d(f)[bad[0]])
+        raise NetworkDegeneracyError(f"non-finite nodal solution at {fk:.6g} Hz", frequency=fk)
+    return z
+
+
+def z_matrix_mna(f, elements: RlgcElements, r_half=None):
     """Impedance matrix by modified nodal analysis.
 
     Each column is obtained by injecting 1 A into one port and reading the
-    open-circuit node voltages.
+    open-circuit node voltages.  ``f`` is one frequency, giving a
+    :class:`ThreePortZ`, or an (N,) vector, giving an (N, 3, 3) array
+    solved as stacks of PIECE_ROWS frequencies.  ``r_half`` (default
+    ``elements.r_half``) is the half-segment resistance at ``f``, a scalar
+    or an (N,) array; the other values come from ``elements``.
     """
-    if not (f > 0 and math.isfinite(f)):
-        raise ValidationError(f"frequency must be finite and positive, got {f!r}")
-    description = assemble_topology(elements)
-    y, index = nodal_admittance(f, description)
-    ports = [index[p] for p in PORT_NODES]
-    rhs = np.zeros((y.shape[0], 3), dtype=complex)
-    for col, p in enumerate(ports):
-        rhs[p, col] = 1.0
-    try:
-        v = solve_extended(y, rhs)
-    except NetworkDegeneracyError as err:
-        raise NetworkDegeneracyError(
-            f"singular nodal matrix at {f:.6g} Hz", frequency=f) from err
-    z = v[ports, :]
-    if not np.isfinite(z).all():
-        raise NetworkDegeneracyError(f"non-finite nodal solution at {f:.6g} Hz", frequency=f)
-    return ThreePortZ(frequency=f, z=z)
+    freqs = np.asarray(f, dtype=float)
+    bad = ~((freqs > 0) & np.isfinite(freqs))
+    if bad.any():
+        raise ValidationError(
+            f"frequency must be finite and positive, got {float(freqs[bad][0])!r}")
+    r_half = elements.r_half if r_half is None else r_half
+    if freqs.ndim == 0:
+        return ThreePortZ(frequency=f, z=_port_z(f, elements, r_half))
+    z = np.empty(freqs.shape + (3, 3), dtype=complex)
+    for piece in pieces(len(freqs)):
+        z[piece] = _port_z(freqs[piece], elements,
+                           r_half if np.ndim(r_half) == 0 else r_half[piece])
+    return z
 
 
 def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> ZSweep:
@@ -312,21 +344,22 @@ def verify_dual_route(sweep, geom: TsvGeometry, mat: MaterialParams,
     """Worst per-entry relative disagreement between the two Z routes.
 
     ``sweep`` is the :class:`ZSweep` that ``z_sweep(..., geom, mat)`` built,
-    or a :class:`FrequencyGrid` to build it on.  Each of its matrices is
-    compared with :func:`z_matrix_mna` on the elements from ``rlgc_at``.
+    or a :class:`FrequencyGrid` to build it on.  Its matrices are compared
+    with :func:`z_matrix_mna` over the same frequencies, fed the
+    half-segment resistance from one array evaluation of ``r_total``.
     Raises :class:`NetworkDegeneracyError` if any grid point exceeds ``rtol``.
     """
     if isinstance(sweep, FrequencyGrid):
         sweep = z_sweep(sweep, geom, mat)
-    freqs = sweep.frequency.tolist()
-    mna = np.array([z_matrix_mna(f, rlgc_at(f, geom, mat)).z for f in freqs])
+    f = sweep.frequency
+    mna = z_matrix_mna(f, rlgc_at(float(f[0]), geom, mat), r_total(f, geom, mat) / 2.0)
     rel = (np.abs(sweep.z - mna) / np.abs(sweep.z)).max(axis=(1, 2))
     bad = np.flatnonzero(rel > rtol)
     if bad.size:
         k = bad[0]
         raise NetworkDegeneracyError(
             f"branch-algebra and nodal routes disagree by {rel[k]:.3e} "
-            f"at {freqs[k]:.6g} Hz", frequency=freqs[k])
+            f"at {f[k]:.6g} Hz", frequency=float(f[k]))
     return float(rel.max())
 
 

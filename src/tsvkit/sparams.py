@@ -3,9 +3,10 @@
 Single points convert with the equal-real-reference form S = (Z - Z0 I)(Z + Z0 I)^-1
 and its algebraic inverse Z = Z0 (I + S)(I - S)^-1, computed with
 partial-pivoting linear solves in extended precision (never an explicit
-inverse).  Sweeps convert in closed form from the branch impedances by
-even/odd-mode analysis (`modal_s`); the per-point route is the exact
-reference it is checked against.  Magnitudes are reported as 20*log10|s|.
+inverse); `s_to_z` also inverts a whole sweep, as stacks of such solves.
+Sweeps convert in closed form from the branch impedances by even/odd-mode
+analysis (`modal_s`); the solve route is the exact reference it is
+checked against.  Magnitudes are reported as 20*log10|s|.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConversionError, NetworkDegeneracyError, ValidationError
 from .network import ThreePortZ, ZSweep
-from .numerics import condition_number, csv_text, solve_extended
+from .numerics import condition_number, csv_text, pieces, solve_extended
 
 COND_LIMIT = 1e12
 
@@ -39,23 +40,29 @@ class ThreePortS:
         object.__setattr__(self, "s", s)
 
 
-def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency: float, name: str,
+def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency, name: str,
                    note: str = "") -> np.ndarray:
     """b @ inv(a) by an extended-precision solve, refused above COND_LIMIT.
 
-    ``name`` spells the matrix ``a`` in the :class:`ConversionError` messages.
+    ``a`` and ``b`` are 3x3 at one ``frequency`` or (N, 3, 3) stacks over an
+    (N,) ``frequency`` vector.  ``name`` spells the matrix ``a`` in the
+    :class:`ConversionError` messages, which name the first frequency that
+    fails.
     """
     cond = condition_number(a)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    if not (np.asarray(cond) <= COND_LIMIT).all():   # NaN fails too
+        cond, freqs = np.atleast_1d(cond, frequency)
+        k = np.flatnonzero(~(cond <= COND_LIMIT))[0]
         raise ConversionError(
-            f"{name} is singular or ill-conditioned at {frequency:.6g} Hz "
-            f"(condition number {cond:.3e}){note}", condition_number=cond)
+            f"{name} is singular or ill-conditioned at {freqs[k]:.6g} Hz "
+            f"(condition number {cond[k]:.3e}){note}", condition_number=float(cond[k]))
     try:
         # x = b a^-1  via  x^T = solve(a^T, b^T)
-        return solve_extended(a.T, b.T).T
+        return solve_extended(a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2)
     except NetworkDegeneracyError as err:
-        raise ConversionError(
-            f"{name} singular at {frequency:.6g} Hz", condition_number=cond) from err
+        cond, freqs = np.atleast_1d(cond, frequency)
+        raise ConversionError(f"{name} singular at {freqs[err.index]:.6g} Hz",
+                              condition_number=float(cond[err.index])) from err
 
 
 def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> ThreePortS:
@@ -65,12 +72,24 @@ def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> ThreePortS:
     return ThreePortS(frequency=zp.frequency, s=s, z0=z0)
 
 
-def s_to_z(sp: ThreePortS) -> ThreePortZ:
-    """Invert the scattering conversion: Z = z0 (I + S)(I - S)^-1."""
+def _z_from_s(s: np.ndarray, z0: float, frequency) -> np.ndarray:
     eye = np.eye(3)
-    z = _guarded_solve(eye - sp.s, sp.z0 * (eye + sp.s), sp.frequency, "(I - S)",
-                       "; S has a near-unit eigenvalue")
-    return ThreePortZ(frequency=sp.frequency, z=z)
+    return _guarded_solve(eye - s, z0 * (eye + s), frequency, "(I - S)",
+                          "; S has a near-unit eigenvalue")
+
+
+def s_to_z(sp):
+    """Invert the scattering conversion: Z = z0 (I + S)(I - S)^-1.
+
+    A :class:`ThreePortZ` for a :class:`ThreePortS`; an (N, 3, 3) array for
+    an :class:`SSweep`, solved as stacks of PIECE_ROWS frequencies.
+    """
+    if isinstance(sp, SSweep):
+        z = np.empty_like(sp.s)
+        for piece in pieces(len(sp)):
+            z[piece] = _z_from_s(sp.s[piece], sp.z0, sp.frequency[piece])
+        return z
+    return ThreePortZ(frequency=sp.frequency, z=_z_from_s(sp.s, sp.z0, sp.frequency))
 
 
 @dataclass(frozen=True, eq=False)

@@ -344,6 +344,34 @@ class TestCommandLineErrors:
         assert code == 2
         assert self.one_error_line(err) and "f_osc" in err
 
+    @pytest.mark.parametrize("setting, named", [("spacing = linaer", "spacing"),
+                                                 ("points = 3.7", "points"),
+                                                 ("points = inf", "points")])
+    def test_bad_grid_setting_in_config(self, setting, named, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(setting + "\n")
+        out_s3p, out_csv = tmp_path / "p.s3p", tmp_path / "p.csv"
+        code, _, err = run(capsys, "extract", "--config", str(cfg),
+                           "--out", str(out_s3p), "--csv", str(out_csv))
+        assert code == 2
+        assert self.one_error_line(err) and named in err
+        assert not out_s3p.exists() and not out_csv.exists()
+
+    def test_whole_points_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text("points = 5.0\nspacing = linear\n")
+        code, out, _ = run(capsys, "extract", "--config", str(cfg), "--json",
+                           "--out", str(tmp_path / "p.s3p"), "--csv", str(tmp_path / "p.csv"))
+        assert code == 0 and json.loads(out)["records"] == 5
+
+    def test_carrier_power_is_not_a_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "spur.cfg"
+        cfg.write_text("carrier_power_db = 20\n")
+        code, out, err = run(capsys, "spur", "--mode", "amplitude", "--json", "--config", str(cfg))
+        assert code == 2
+        assert self.one_error_line(err) and "unknown key 'carrier_power_db'" in err
+        assert out == ""
+
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_zero(self, flag, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,7 +9,7 @@ from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
 from tsvkit.network import (MIN_ELEMENT, Z_CSV_HEADER, assemble_topology,
                             verify_dual_route, z_matrix_at, z_matrix_mna,
                             z_sweep, z_sweep_csv)
-from tsvkit.rlgc import rlgc_at
+from tsvkit.rlgc import r_total, rlgc_at
 
 GEOM = DEFAULT_GEOMETRY
 MAT = DEFAULT_MATERIALS
@@ -141,6 +141,36 @@ class TestDualRoute:
         za = z_matrix_at(f, el).z
         zb = z_matrix_mna(f, el).z
         assert np.abs((za - zb) / za).max() < 1e-9
+
+
+class TestStackedMna:
+    """The MNA route over a frequency vector, solved as stacks."""
+
+    def test_matches_single_points_exactly(self):
+        f = FrequencyGrid.logarithmic(1e6, 100e9, 2001).points
+        z = z_matrix_mna(f, EL_1GHZ, r_total(f, GEOM, MAT) / 2.0)
+        assert z.shape == (2001, 3, 3)
+        rng = np.random.default_rng(11)
+        for k in rng.choice(2001, 10, replace=False):
+            lone = z_matrix_mna(f[k], rlgc_at(f[k], GEOM, MAT))
+            assert lone.frequency == f[k]
+            assert z[k].tobytes() == lone.z.tobytes()
+
+    def test_scalar_resistance_is_shared(self):
+        f = np.array([1e8, 1e9, 1e10])
+        z = z_matrix_mna(f, EL_1GHZ)
+        for k in range(3):
+            assert z[k].tobytes() == z_matrix_mna(float(f[k]), EL_1GHZ).z.tobytes()
+
+    def test_rejects_bad_frequencies(self):
+        for f in ([1e9, 0.0], [1e9, np.inf], [np.nan]):
+            with pytest.raises(ValidationError):
+                z_matrix_mna(np.array(f), EL_1GHZ)
+
+    def test_rejects_degenerate_resistance_array(self):
+        f = np.array([1e8, 1e9])
+        with pytest.raises(ValidationError, match="r_half"):
+            z_matrix_mna(f, EL_1GHZ, np.array([1.0, MIN_ELEMENT / 10]))
 
 
 class TestPassivityPrecursor:

@@ -1,0 +1,120 @@
+"""Stacked extended-precision solves and condition numbers."""
+
+import numpy as np
+import pytest
+
+from tsvkit import NetworkDegeneracyError
+from tsvkit.numerics import PIECE_ROWS, condition_number, pieces, solve_extended
+
+
+def reference_solve(a, b):
+    """Textbook elimination of one system, one row at a time, in clongdouble.
+
+    The same pivot choice and order of row updates that solve_extended
+    applies to every member of a stack.
+    """
+    a = np.asarray(a, dtype=np.clongdouble).copy()
+    b = np.asarray(b, dtype=np.clongdouble).copy()
+    n = a.shape[0]
+    for k in range(n):
+        piv = k + int(np.argmax(np.abs(a[k:, k])))
+        if piv != k:
+            a[[k, piv]] = a[[piv, k]]
+            b[[k, piv]] = b[[piv, k]]
+        for i in range(k + 1, n):
+            m = a[i, k] / a[k, k]
+            if m != 0:
+                a[i, k:] -= m * a[k, k:]
+                b[i] -= m * b[k]
+    x = np.zeros_like(b)
+    for i in range(n - 1, -1, -1):
+        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    return x.astype(np.complex128)
+
+
+def random_stack(rng, count, n):
+    """Complex systems spanning 12 decades, with structural zeros and weak diagonals."""
+    a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    a *= 10.0 ** rng.uniform(-6, 6, size=(count, 1, n))
+    a[rng.random((count, n, n)) < 0.3] = 0.0
+    a[:, range(n), range(n)] *= 1e-3          # most first columns need a row swap
+    for j in range(count):
+        while np.linalg.matrix_rank(a[j]) < n:
+            a[j] = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return a
+
+
+class TestStackedSolve:
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_members_match_lone_solves_bit_for_bit(self, n):
+        rng = np.random.default_rng(20 + n)
+        a = random_stack(rng, 300, n)
+        b = rng.normal(size=(300, n, 3)) + 1j * rng.normal(size=(300, n, 3))
+        swapped = np.abs(a[:, :, 0]).argmax(axis=1) != 0
+        assert swapped.sum() > 100
+        x = solve_extended(a, b)
+        assert x.shape == (300, n, 3) and x.dtype == np.complex128
+        for j in range(300):
+            lone = solve_extended(a[j], b[j])
+            assert lone.tobytes() == x[j].tobytes()
+            assert lone.tobytes() == reference_solve(a[j], b[j]).tobytes()
+
+    def test_vector_right_hand_sides(self):
+        rng = np.random.default_rng(5)
+        a = random_stack(rng, 40, 5)
+        b = rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))
+        x = solve_extended(a, b)
+        assert x.shape == (40, 5)
+        for j in range(40):
+            assert x[j].tobytes() == reference_solve(a[j], b[j][:, None])[:, 0].tobytes()
+        assert solve_extended(a[7], list(b[7])).tobytes() == x[7].tobytes()
+
+    def test_zero_multiplier_leaves_its_row_untouched(self):
+        # The update of row 1 is skipped, not done as a subtraction of
+        # 0 * row 0, which would put 0 * inf = nan into it.
+        a = np.array([[[1.0, np.inf], [0.0, 2.0]], [[1.0, 0.0], [0.0, 2.0]]])
+        x = solve_extended(a, np.array([[1.0, 4.0], [1.0, 4.0]]))
+        assert x[0, 1] == 2.0 and x[1].tolist() == [1.0, 2.0]
+
+    def test_singular_member_raises_with_its_index(self):
+        rng = np.random.default_rng(9)
+        a = random_stack(rng, 8, 3)
+        a[5, 2] = a[5, 0]                 # two equal rows: an exact zero at the last pivot
+        a[6, :, 0] = 0.0                  # a zero column: an exact zero at the first pivot
+        with pytest.raises(NetworkDegeneracyError, match="singular") as err:
+            solve_extended(a, np.ones((8, 3)))
+        assert err.value.index == 5
+        a[5] = np.eye(3)
+        with pytest.raises(NetworkDegeneracyError) as err:
+            solve_extended(a, np.ones((8, 3)))
+        assert err.value.index == 6
+        with pytest.raises(NetworkDegeneracyError) as err:
+            solve_extended(np.zeros((3, 3)), np.ones(3))
+        assert err.value.index == 0
+
+
+class TestConditionNumber:
+    def test_float_for_one_matrix_array_for_a_stack(self):
+        rng = np.random.default_rng(3)
+        a = random_stack(rng, 6, 3)
+        cond = condition_number(a)
+        assert cond.shape == (6,)
+        for j in range(6):
+            lone = condition_number(a[j])
+            assert type(lone) is float and lone == cond[j]
+
+    def test_singular_and_non_finite_members_are_infinite(self):
+        a = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3), np.eye(3)]).astype(complex)
+        a[2, 1, 1] = np.nan
+        a[3, 0, 2] = np.inf
+        assert condition_number(a).tolist() == [1.0, np.inf, np.inf, np.inf]
+        assert condition_number(a[2]) == np.inf
+        assert condition_number(a[2:3]).tolist() == [np.inf]
+
+
+def test_pieces_cover_the_axis_in_order():
+    axis = range(2 * PIECE_ROWS + 3)
+    assert [i for piece in pieces(len(axis)) for i in axis[piece]] == list(axis)
+    assert [len(axis[piece]) for piece in pieces(len(axis))] == [PIECE_ROWS, PIECE_ROWS, 3]
+    assert PIECE_ROWS == 256
+    assert list(pieces(0)) == []

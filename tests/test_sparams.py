@@ -8,7 +8,7 @@ import pytest
 
 import reference_values as ref
 from tsvkit import (ConversionError, DEFAULT_GEOMETRY, DEFAULT_MATERIALS,
-                    FrequencyGrid, ThreePortS, ValidationError)
+                    FrequencyGrid, SSweep, ThreePortS, ValidationError)
 from tsvkit.network import ThreePortZ, z_matrix_at, z_matrix_mna, z_sweep
 from tsvkit.rlgc import rlgc_at
 from tsvkit.sparams import (magnitude_db, max_singular_value, modal_s, s_sweep,
@@ -161,6 +161,30 @@ class TestModalSweep:
         z_stack = np.array([1.0, 1.0, np.inf], dtype=complex)
         with pytest.raises(ConversionError, match="3e[+]09 Hz"):
             modal_s(f, ones, ones, z_stack, z0=50.0)
+
+
+class TestStackedInverse:
+    """s_to_z over a whole SSweep, solved as stacks."""
+
+    def test_matches_single_points_exactly(self):
+        sweep = s_sweep(z_sweep(FrequencyGrid.logarithmic(1e6, 100e9, 700), GEOM, MAT))
+        z = s_to_z(sweep)
+        assert z.shape == (700, 3, 3) and z.dtype == complex
+        for k in range(700):
+            assert z[k].tobytes() == s_to_z(sweep[k]).z.tobytes()
+
+    def test_ill_conditioned_point_is_named(self):
+        f = np.arange(1, 601) * 1e7
+        s = np.zeros((600, 3, 3), dtype=complex)
+        s[400] = np.diag([1.0 - 1e-14, 0.5, 0.5])     # cond(I - S) = 5e13
+        s[550] = np.eye(3)                             # I - S singular
+        with pytest.raises(ConversionError, match="at 4.01e[+]09 Hz") as err:
+            s_to_z(SSweep(f, s))
+        assert err.value.condition_number > 1e12
+        s[400] = 0.0
+        with pytest.raises(ConversionError, match="at 5.51e[+]09 Hz") as err:
+            s_to_z(SSweep(f, s))
+        assert err.value.condition_number == np.inf
 
 
 class TestMagnitudes:
