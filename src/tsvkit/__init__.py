@@ -20,7 +20,7 @@ from .sparams import (SSweep, ThreePortS, magnitude_db, max_singular_value,
 from .spur import (BUILTIN_CALIBRATION_POINTS, CalibrationResult, OscillatorModel,
                    SpurScenario, amplitude_sweep, builtin_oscillator,
                    calibrate_k_sub, frequency_sweep, modulation_index,
-                   scenario_for, slope_per_octave, spur_dbc, spur_frequency,
+                   scenario_for, slope_per_octave, spur_dbc,
                    substrate_transfer, substrate_transfer_mna)
 from .touchstone import TouchstoneDocument, read_s3p, write_s3p
 

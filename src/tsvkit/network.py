@@ -340,23 +340,24 @@ def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> ZSwe
 
 
 def verify_dual_route(sweep, geom: TsvGeometry, mat: MaterialParams,
-                      rtol: float = 1e-9) -> float:
+                      rtol: float | None = 1e-9) -> float:
     """Worst per-entry relative disagreement between the two Z routes.
 
     ``sweep`` is the :class:`ZSweep` that ``z_sweep(..., geom, mat)`` built,
     or a :class:`FrequencyGrid` to build it on.  Its matrices are compared
     with :func:`z_matrix_mna` over the same frequencies, fed the
     half-segment resistance from one array evaluation of ``r_total``.
-    Raises :class:`NetworkDegeneracyError` if any grid point exceeds ``rtol``.
+    Raises :class:`NetworkDegeneracyError` if any grid point exceeds ``rtol``
+    or disagrees by a non-finite amount; with ``rtol=None`` it only reports
+    the worst value (NaN if any point's is).
     """
     if isinstance(sweep, FrequencyGrid):
         sweep = z_sweep(sweep, geom, mat)
     f = sweep.frequency
     mna = z_matrix_mna(f, rlgc_at(float(f[0]), geom, mat), r_total(f, geom, mat) / 2.0)
     rel = (np.abs(sweep.z - mna) / np.abs(sweep.z)).max(axis=(1, 2))
-    bad = np.flatnonzero(rel > rtol)
-    if bad.size:
-        k = bad[0]
+    if rtol is not None and not (rel <= rtol).all():   # NaN fails too
+        k = np.flatnonzero(~(rel <= rtol))[0]
         raise NetworkDegeneracyError(
             f"branch-algebra and nodal routes disagree by {rel[k]:.3e} "
             f"at {f[k]:.6g} Hz", frequency=float(f[k]))

@@ -46,7 +46,6 @@ REPLICA_SUBSTRATE_LOAD = 50.0
 BUILTIN_CALIBRATION_POINTS = ((0.1, 1e9, -36.1),)
 
 DEFAULT_F_OSC = 10.917e9
-DEFAULT_CARRIER_POWER_DB = -11.02
 
 
 @dataclass(frozen=True)
@@ -55,7 +54,6 @@ class OscillatorModel:
 
     k_sub: float                                  # Hz per volt of substrate swing
     f_osc: float = DEFAULT_F_OSC                  # Hz
-    carrier_power_db: float = DEFAULT_CARRIER_POWER_DB
 
     def __post_init__(self):
         if not (self.f_osc > 0 and math.isfinite(self.f_osc)):
@@ -188,11 +186,6 @@ def spur_dbc(osc: OscillatorModel, scen: SpurScenario, exact_bessel: bool = Fals
     if exact_bessel:
         return 20.0 * math.log10(bessel_j1(beta) / bessel_j0(beta))
     return 20.0 * math.log10(beta / 2.0)
-
-
-def spur_frequency(osc: OscillatorModel, scen: SpurScenario) -> float:
-    """Location of the reported (upper) sideband in Hz."""
-    return osc.f_osc + scen.aggressor_frequency
 
 
 @dataclass(frozen=True)

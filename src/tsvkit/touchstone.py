@@ -30,9 +30,10 @@ FORMATS = ("RI", "MA", "DB")
 NPORTS = 3
 PER_ROW = 2 * NPORTS
 READ_CHUNK_LINES = 768
-# One record: the frequency and matrix row 1, then rows 2 and 3 (9 significant digits).
-RECORD_TEMPLATE = " ".join(["%.8e"] * (PER_ROW + 1)) + "\n" \
-    + (" ".join(["%.8e"] * PER_ROW) + "\n") * (NPORTS - 1)
+# One record: the frequency and matrix row 1, then rows 2 and 3, one separator
+# after each field; every field has 8 digits after the point (9 significant).
+RECORD_DIGITS = 8
+RECORD_SEPARATORS = (" " * PER_ROW + "\n") + (" " * (PER_ROW - 1) + "\n") * (NPORTS - 1)
 
 
 class Records:
@@ -94,17 +95,15 @@ def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
 
     ``sweep`` is an :class:`SSweep` or a sequence of ``ThreePortS`` sharing
     one reference impedance.  ``comments`` become leading ``!`` lines
-    (generator metadata, parameter set).
+    (generator metadata, parameter set).  A sweep the reader would refuse
+    (non-finite values, frequencies not strictly increasing) raises
+    :class:`ValidationError` before any byte is written.
     """
     if not isinstance(sweep, SSweep):
         sweep = SSweep.from_points(sweep)
     fmt = fmt.upper()
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
-    freqs = sweep.frequency
-    if not np.all(freqs[1:] > freqs[:-1]):
-        raise ValidationError("sweep frequencies must be strictly increasing")
-
     s = sweep.s.reshape(len(sweep), NPORTS * NPORTS)
     if fmt == "RI":
         a, b = s.real, s.imag
@@ -117,18 +116,25 @@ def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
                 raise ValidationError("cannot represent a zero entry in DB format")
             a = 20.0 * np.log10(a)
     table = np.empty((len(sweep), 1 + 2 * NPORTS * NPORTS))
-    table[:, 0] = freqs
+    table[:, 0] = sweep.frequency
     table[:, 1::2] = a
     table[:, 2::2] = b
+    # the reader refuses a non-finite value, so the writer does too
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
+    if bad.size:
+        raise ValidationError(f"record {bad[0] + 1} at {sweep.frequency[bad[0]]:g} Hz holds "
+                              "a non-finite frequency or S value")
+    if not np.all(table[1:, 0] > table[:-1, 0]):
+        raise ValidationError("sweep frequencies must be strictly increasing")
 
     header = "".join(f"! {c}\n" for c in comments) + f"# Hz S {fmt} R {sweep.z0:g}\n"
     if hasattr(destination, "write"):
         destination.write(header)
-        destination.writelines(format_rows(table, RECORD_TEMPLATE))
+        destination.writelines(format_rows(table, RECORD_DIGITS, RECORD_SEPARATORS))
     else:
         with open(destination, "w", encoding="ascii", newline="\n") as fh:
             fh.write(header)
-            fh.writelines(format_rows(table, RECORD_TEMPLATE))
+            fh.writelines(format_rows(table, RECORD_DIGITS, RECORD_SEPARATORS))
 
 
 def _parse_option_line(line: str, lineno: int):

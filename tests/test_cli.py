@@ -286,6 +286,37 @@ class TestValidate:
         assert {"dual_route_z", "reciprocity", "passivity",
                 "z_s_roundtrip", "touchstone_roundtrip"} <= names
 
+    def test_failing_reference_route_is_a_fail_line(self, capsys):
+        # (I - S) is ill-conditioned at the top of this grid: the round trip
+        # fails, and every other check is still computed and reported
+        code, out, err = run(capsys, "validate", "--f-stop", "1e30", "--points", "11")
+        assert code == 1 and err == ""
+        lines = out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "PASS dual_route_z", "PASS reciprocity", "PASS passivity", "FAIL z_s_roundtrip",
+            "PASS touchstone_roundtrip", "PASS transfer_dual_route"]
+        assert "at 1.58489e+25 Hz (condition number 2.727e+13)" in lines[3]
+        code, out, _ = run(capsys, "validate", "--f-stop", "1e30", "--points", "11", "--json")
+        payload = json.loads(out)
+        assert code == 1 and payload["passed"] is False
+        assert [c["passed"] for c in payload["checks"]] == [True, True, True, False, True, True]
+
+    @pytest.mark.parametrize("error", [1e-6, float("nan")])
+    def test_dual_route_disagreement_is_a_fail_line(self, error, monkeypatch, capsys):
+        import tsvkit.network
+        exact = tsvkit.network.z_matrix_mna
+        monkeypatch.setattr(tsvkit.network, "z_matrix_mna",
+                            lambda *a, **k: exact(*a, **k) * (1.0 + error))
+        code, out, err = run(capsys, "validate", "--points", "21")
+        assert code == 1 and err == ""
+        assert out.splitlines()[0] == \
+            f"FAIL dual_route_z: worst relative disagreement {abs(error):.3e}"
+        assert out.count("PASS") == 5
+
+    def test_error_before_the_checks_exits_2(self, capsys):
+        code, out, err = run(capsys, "validate", "--points", "1")
+        assert code == 2 and out == "" and err.startswith("error:")
+
 
 class TestCommandLineErrors:
     """A bad command line ends in one 'error:' line and exit code 2, writing nothing."""

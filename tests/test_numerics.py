@@ -1,10 +1,14 @@
-"""Stacked extended-precision solves and condition numbers."""
+"""Stacked extended-precision solves, condition numbers and the %.Ne text kernel."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from tsvkit import NetworkDegeneracyError
-from tsvkit.numerics import PIECE_ROWS, condition_number, pieces, solve_extended
+from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid, NetworkDegeneracyError,
+                    ValidationError, s_sweep, z_sweep)
+from tsvkit.numerics import (PIECE_ROWS, condition_number, csv_text, format_rows, pieces,
+                             solve_extended)
 
 
 def reference_solve(a, b):
@@ -118,3 +122,87 @@ def test_pieces_cover_the_axis_in_order():
     assert [len(axis[piece]) for piece in pieces(len(axis))] == [PIECE_ROWS, PIECE_ROWS, 3]
     assert PIECE_ROWS == 256
     assert list(pieces(0)) == []
+
+
+def reference_rows(table, digits, separators):
+    """The text format_rows must give: one plain % conversion per field."""
+    row = "".join(f"%.{digits}e" + separator for separator in separators)
+    return (row * len(table)) % tuple(table.ravel().tolist())
+
+
+def as_table(values, columns=7):
+    values = np.asarray(values, dtype=float).ravel()
+    return np.concatenate([values, np.full(-len(values) % columns, 1.0)]).reshape(-1, columns)
+
+
+SEPARATORS = " " * 6 + "\n"
+
+
+@pytest.mark.parametrize("digits", [8, 12])
+class TestFormatRows:
+    """format_rows against % for Touchstone (8 digits) and CSV (12 digits) fields."""
+
+    def check(self, values, digits, separators=SEPARATORS):
+        table = as_table(values, len(separators))
+        assert "".join(format_rows(table, digits, separators)) == \
+            reference_rows(table, digits, separators)
+
+    def test_exact_and_near_ties(self, digits):
+        rng = np.random.default_rng(digits)
+        whole = rng.integers(10 ** digits, 10 ** (digits + 1), 3000)   # digits + 1 figures
+        # exact binary ties at digits + 2 figures (halving keeps half of them ties)
+        ties = np.concatenate([whole + 0.5, (whole + 0.5) / 2, whole * 10.0 + 5.0,
+                               [1234567895.0, 12345678901235.0, 0.125, 2.5]])
+        # the same figures at other scales: the doubles nearest those decimals lie
+        # within an ulp of a tie, where one rounding of |x| * 10**k can land on it
+        near = [float(f"{n}5e{j}") for n, j in zip(whole[:2000].tolist(),
+                                                    rng.integers(-25, 25, 2000).tolist())]
+        self.check(np.concatenate([ties, -ties, near, np.nextafter(near, 0),
+                                   np.nextafter(near, np.inf)]), digits)
+
+    def test_powers_of_ten_and_carry_boundaries(self, digits):
+        values = []
+        for j in range(-30, 31):
+            carry = float(f"9.{'9' * digits}5e{j}")   # rounds up into exponent j + 1
+            for v in (10.0 ** j, float(f"1e{j}"), carry):
+                below = above = v
+                for _ in range(3):
+                    below, above = np.nextafter(below, 0), np.nextafter(above, np.inf)
+                    values += [below, above]
+                values.append(v)
+        self.check(values + [-v for v in values], digits)
+
+    def test_special_values(self, digits):
+        self.check([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1.7e308, -1.7e308,
+                    2.2250738585072014e-308, 1.7976931348623157e308, 1e22, 1e23, 1e-10,
+                    1e-11, 1e34, 1e35], digits)
+
+    def test_random_bit_patterns(self, digits):
+        rng = np.random.default_rng(100 + digits)
+        patterns = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False).view(float)
+        scaled = 10.0 ** rng.uniform(-40, 40, 20_000) * rng.choice([-1.0, 1.0], 20_000)
+        self.check(np.concatenate([patterns, scaled]), digits)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_sweep_tables_of_seeded_designs(self, digits, seed):
+        scale = 1.15 ** np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+        geom, mat = DEFAULT_GEOMETRY, DEFAULT_MATERIALS
+        geom = replace(geom, height=geom.height * scale[0], radius=geom.radius * scale[1],
+                       pitch=geom.pitch * scale[2])
+        mat = replace(mat, sigma_si=mat.sigma_si * scale[3])
+        zs = z_sweep(FrequencyGrid.logarithmic(1e6, 100e9, 20_001), geom, mat)
+        for matrices in (zs.z, s_sweep(zs).s):
+            flat = matrices.reshape(len(zs), 9)
+            self.check(np.column_stack([zs.frequency, flat.real, flat.imag]), digits,
+                       "," * 18 + "\n")
+
+    def test_pieces_and_arguments(self, digits):
+        table = as_table(np.arange(1.0, 1 + 7 * (PIECE_ROWS + 5)))
+        out = list(format_rows(table, digits, SEPARATORS))
+        assert [piece.count("\n") for piece in out] == [PIECE_ROWS, 5]
+        assert list(format_rows(np.empty((0, 7)), digits, SEPARATORS)) == []
+        assert csv_text("a,b", np.array([[1.0, -0.0]])) == "a,b\n%.12e,%.12e\n" % (1.0, -0.0)
+        with pytest.raises(ValidationError):
+            list(format_rows(table, digits, SEPARATORS[1:]))
+        with pytest.raises(ValidationError):
+            list(format_rows(table, 10, SEPARATORS))

@@ -8,7 +8,7 @@ import pytest
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
                     ThreePortS, TouchstoneError, ValidationError)
 from tsvkit.network import z_sweep
-from tsvkit.sparams import s_sweep
+from tsvkit.sparams import SSweep, s_sweep
 from tsvkit.touchstone import TouchstoneDocument, read_s3p, write_s3p
 
 
@@ -93,6 +93,25 @@ class TestWriter:
         sp = ThreePortS(frequency=1e9, s=np.zeros((3, 3)), z0=50.0)
         with pytest.raises(ValidationError):
             write_s3p([sp], io.StringIO(), fmt="DB")
+
+    @pytest.mark.parametrize("where", ["frequency", "entry"])
+    def test_non_finite_value_refused_before_writing(self, where, tmp_path):
+        sweep = model_sweep(n=4)
+        f, s = sweep.frequency.copy(), sweep.s.copy()
+        if where == "frequency":
+            f[2] = np.nan
+        else:
+            s[2, 1, 0] = complex(np.nan, 0.0)
+        bad = SSweep(f, s, sweep.z0)
+        path = tmp_path / "bad.s3p"
+        for fmt in ("RI", "MA", "DB"):
+            with pytest.raises(ValidationError, match="record 3"):
+                write_s3p(bad, path, fmt=fmt)
+            assert not path.exists()
+            stream = io.StringIO()
+            with pytest.raises(ValidationError, match="non-finite"):
+                write_s3p(bad, stream, fmt=fmt)
+            assert stream.getvalue() == ""
 
     def test_path_output(self, tmp_path):
         path = tmp_path / "pair.s3p"
