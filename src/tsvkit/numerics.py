@@ -30,9 +30,28 @@ Zero, with its sign, takes this path too.  Every other field is formatted
 with ``%`` into its slot: inf, NaN, subnormals, |k| > 22 (magnitudes
 outside 1e-14 .. 1e31 for ``%.8e``, 1e-10 .. 1e35 for ``%.12e``),
 near-ties, and exponent estimates that are off by one.
+
+The inverse, :func:`parse_fields`, turns ASCII text into field counts per
+line and the value of every field, each equal to ``float(field)`` bit for
+bit.  One ``flatnonzero`` over the whitespace bytes of a piece gives the
+field starts and ends and, since a line break is one of those bytes, the
+fields per line.  A field written as ``%.8e`` writes it,
+``[+-]d.dddddddd[eE][+-]dd``, is checked and converted in array
+arithmetic: two unaligned 64-bit loads per field hold all its bytes, the
+eight digits after the point are checked and read with SWAR (bytewise
+arithmetic inside one uint64: three multiply-shifts), and with M the nine
+digits and k the exponent minus 8 the value is ``M * 10**k`` or
+``M / 10**-k``.  M < 10**9 and 10**|k| for |k| <= 22 are exact doubles, so
+that is one correctly rounded IEEE operation on the exact decimal value
+(Clinger's fast path), which is what ``float()`` returns; the sign is
+exact, and so is -0.  Every other field goes to ``float()`` in its slot:
+other digit counts, ``1_0``, ``nan``, a NUL, exponents outside -14 .. +30
+(|k| > 22, magnitudes below 1e-14 or from 1e31 up).
 """
 
 from __future__ import annotations
+
+import re
 
 import numpy as np
 
@@ -190,3 +209,174 @@ def format_rows(table: np.ndarray, digits: int, separators: str):
 def csv_text(header: str, table: np.ndarray) -> str:
     """CSV of an (N, M) float table: the header line, then ``%.12e`` fields, LF endings."""
     return header + "\n" + "".join(format_rows(table, 12, "," * (table.shape[1] - 1) + "\n"))
+
+
+_NON_ASCII = re.compile(r"[^\x00-\x7f]")
+
+
+def non_ascii_line(text):
+    """The 1-based line of the first non-ASCII character of a str or bytes, else None.
+
+    Lines are counted as ``str.splitlines`` counts them.
+    """
+    if text.isascii():
+        return None
+    if isinstance(text, bytes):
+        text = text.decode("latin-1")
+    return len((text[:_NON_ASCII.search(text).start()] + "x").splitlines())
+
+
+# Tables of the parse kernel.  The whitespace of str.split() and the line
+# breaks of str.splitlines(), among ASCII bytes.
+_SPACE = np.zeros(256, dtype=bool)
+_SPACE[list(b"\t\n\v\f\r\x1c\x1d\x1e\x1f ")] = True
+_BREAK = np.zeros(256, dtype=bool)
+_BREAK[list(b"\n\r\v\f\x1c\x1d\x1e")] = True
+LINE_BREAK = re.compile(rb"\r\n|[\n\r\v\f\x1c-\x1e]")   # one line end, CR LF as one
+_COMMENT = re.compile(rb"![^\n\r\v\f\x1c-\x1e]*")
+_SPLIT_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")   # bytes.split() keeps FS .. US
+PIECE_BYTES = 1 << 17   # parse_fields works through this many bytes of whole lines at a time
+_PAD = b" " * 16   # before the text, so that a load at (field end - 16) stays inside it
+_U64 = np.uint64
+# A fast field [+-]d.dddddddd[eE][+-]dd has the value M * _UP[i] / _DOWN[i]: M is
+# its 9 digits, i = 256 * (minus sign) + 100 * (negative exponent) + |exponent|
+# and k = exponent - 8.  For k >= 0, _UP = +-10**k and _DOWN = 1; for k < 0,
+# _UP = +-1 and _DOWN = 10**-k; NaN marks |k| > 22 and the i no field gives.
+_EXPONENTS_K = [(-1 if i >= 100 else 1) * (i % 100) - 8 if i < 200 else None for i in range(256)]
+_UP = np.array([sign * (float("nan") if k is None or abs(k) > _FAST_K else float(10 ** max(k, 0)))
+                for sign in (1.0, -1.0) for k in _EXPONENTS_K])
+_DOWN = np.array([float(10 ** -k) if k is not None and -_FAST_K <= k < 0 else 1.0
+                  for k in _EXPONENTS_K] * 2)
+# The bytes at (end - 14, end - 13, end - 4, ... end - 1) of a fast field, put in
+# one word as lead digit, '.', 'e', sign, two exponent digits; XOR with this
+# template leaves 0..9, 0, 0, 0 or 6, 0..9, 0..9 (after 'E' is made 'e').
+_TEMPLATE = _U64(0x0000_3030_2B65_2E30)
+
+
+class FieldError(ValueError):
+    """A field that float() refuses: its text, its line (from 0) and its place on that line."""
+
+    def __init__(self, token: str, line: int, field: int):
+        super().__init__(f"not a number: {token!r}")
+        self.token, self.line, self.field = token, line, field
+
+
+def parse_fields(text: bytes, start: int = 0):
+    """Fields per line and the value of every field of ASCII ``text[start:]``.
+
+    ``start`` is the start of a line.  Lines are those of
+    ``str.splitlines()``, each cut at its first ``!``; its
+    fields are those of ``str.split()``.  Returns ``(counts, values)``: the
+    field count of every line and the float of every field in text order,
+    each value ``float(field)`` bit for bit.  Fields written as ``%.8e``
+    writes them, with an exponent from -14 to +30, are converted by array
+    arithmetic (see the module docstring), every other field by ``float()``.
+    Raises :class:`FieldError` on the first field ``float()`` refuses.  The
+    text is worked through in pieces of about PIECE_BYTES bytes of whole
+    lines, which bounds the memory of the temporaries.
+    """
+    if start < len(_PAD):
+        text, start = _PAD + text[start:], len(_PAD)
+    line_ends, values = [np.zeros(1, dtype=np.intp)], [np.zeros(0)]
+    lines = fields = 0
+    while start < len(text):
+        stop = start + PIECE_BYTES
+        end = LINE_BREAK.search(text, stop - 1) if stop < len(text) else None
+        stop = end.end() if end else len(text)
+        try:
+            piece_ends, piece_values = _parse_piece(text, start, stop)
+        except FieldError as err:
+            err.line += lines
+            raise
+        line_ends.append(piece_ends + fields)
+        values.append(piece_values)
+        lines += len(piece_ends)
+        fields += len(piece_values)
+        start = stop
+    return np.diff(np.concatenate(line_ends)), np.concatenate(values)
+
+
+def _parse_piece(text: bytes, start: int, stop: int):
+    """Fields before the end of each line of text[start:stop], and the field values.
+
+    The piece holds whole lines, and at least 16 bytes come before it.
+    """
+    unterminated = not _BREAK[text[stop - 1]]   # a last line without a line break
+    if text.find(b"!", start, stop) >= 0:
+        text = _PAD + _COMMENT.sub(b" ", text[start:stop])   # " ": CR ! LF stays two breaks
+        start, stop = len(_PAD), len(text)
+    a = np.frombuffer(text, dtype=np.uint8)
+    low = np.flatnonzero(a[start:stop] <= 32) + start
+    low_bytes = a[low]
+    is_space = _SPACE[low_bytes]
+    space = low[is_space]              # the positions of whitespace
+    space_bytes = low_bytes[is_space]
+    # field j lies between bounds[gaps[j]] and bounds[gaps[j] + 1]
+    bounds = np.concatenate(([start - 1], space, [stop]))
+    gaps = np.flatnonzero(np.diff(bounds) > 1)
+    ends = bounds[1:][gaps]
+    length = ends - bounds[gaps] - 1
+    n = len(gaps)
+
+    # a line ends at each line break but the LF of a CR LF; the fields before
+    # the break at space[b] are those with gaps[j] <= b
+    control = np.flatnonzero(space_bytes < 32)
+    control_bytes = space_bytes[control]
+    crlf = (control_bytes == 10) & (a[space[control] - 1] == 13)
+    line_ends = np.searchsorted(gaps, control[_BREAK[control_bytes] & ~crlf], side="right")
+    if unterminated:
+        line_ends = np.append(line_ends, n)
+
+    # Fields of 14 characters, or 15 with a sign, are candidates: c indexes them
+    c = np.flatnonzero((length == 14) | (length == 15))
+    if c.size == n:   # as in the files the writer writes: index by a view, not a copy
+        c = slice(None)
+    ce = ends[c]
+    words = np.ndarray((len(a) - 7,), dtype="<u8", buffer=text, strides=(1,))
+    head = words[ce - 16]   # bytes end-16 .. end-9: ?, sign, lead digit, '.', digits 1-4
+    tail = words[ce - 8]    # bytes end-8 .. end-1: digits 5-8, 'e', sign, exponent
+    digits = ((head >> _U64(32)) | (tail << _U64(32))) - _U64(0x3030303030303030)
+    fixed = (((head >> _U64(16)) & _U64(0xFFFF)) | ((tail >> _U64(32)) << _U64(16))
+             | _U64(0x200000)) ^ _TEMPLATE
+    sign = (head >> _U64(8)) & _U64(0xFF)   # the byte before a 14-character field
+    minus = sign == _U64(45)
+    # every digit byte in '0'..'9': no byte of the difference borrowed or exceeds 9
+    ok = (((digits + _U64(0x7676767676767676)) | digits) & _U64(0x8080808080808080)) == _U64(0)
+    # '.' and 'e' give 0; digits and the exponent sign at most 15, then at most 9 and 0 or 6
+    ok &= (fixed & _U64(0x0000_F0F0_F9FF_FFF0)) == _U64(0)
+    ok &= ((fixed + _U64(0x0000_0606_0200_0006)) & _U64(0x0000_F0F0_0400_00F0)) == _U64(0)
+    ok &= length[c] - (minus | (sign == _U64(43))) == 14   # 15 characters only with a sign
+    # the 8 digits by SWAR: pairs, then pairs of pairs, then the 8-digit number
+    digits = digits * _U64(10) + (digits >> _U64(8))
+    digits = ((((digits & _U64(0x000000FF000000FF)) * _U64(0x000F424000000064))
+               + (((digits >> _U64(16)) & _U64(0x000000FF000000FF)) * _U64(0x0000271000000001)))
+              >> _U64(32)) & _U64(0xFFFFFFFF)
+    mantissa = ((fixed & _U64(0xFF)) * _U64(100_000_000) + digits).astype(np.float64)
+    # 50 * (exponent sign byte & 2) + 10 * tens + ones, from one multiplication
+    i = ((((fixed >> _U64(24)) & _U64(0x0F0F02)) * _U64(0x320A01) >> _U64(16))
+         & _U64(0xFF)).view(np.int64) + minus * 256
+    fast = mantissa * _UP.take(i)
+    fast /= _DOWN.take(i)
+    values = np.empty(n)
+    values[c] = fast
+    slow = np.ones(n, dtype=bool)
+    slow[c] = ~ok | np.isnan(fast)
+    slow = np.flatnonzero(slow)
+    if slow.size:
+        piece = text[start:stop]
+        if (control_bytes >= 28).any():
+            piece = piece.translate(_SPLIT_SPACE)
+        fields = piece.split()
+        if slow.size < n:
+            fields = [fields[j] for j in slow.tolist()]
+        try:
+            values[slow] = np.fromiter(map(float, fields), dtype=np.float64, count=len(fields))
+        except ValueError:
+            for j, field in zip(slow.tolist(), fields):
+                try:
+                    float(field)
+                except ValueError:
+                    line = int(np.searchsorted(line_ends, j, side="right"))
+                    raise FieldError(field.decode("ascii"), line,
+                                     j - int(line_ends[line - 1] if line else 0)) from None
+    return line_ends, values

@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 from .constants import K_B, Q_E
 from .errors import ConfigError, ValidationError
+from .numerics import non_ascii_line
 
 
 def _require_positive_fields(obj) -> None:
@@ -106,12 +107,17 @@ GEOMETRY_KEYS = ("height", "radius", "pitch", "liner_thickness")
 MATERIAL_KEYS = ("rho_cu", "mu_r", "eps_ox", "eps_si", "n_a", "n_i", "sigma_si", "temperature")
 
 
+# Keys whose value may be a word, and the words each takes
+WORD_KEYS = {"spacing": ("linear", "logarithmic"), "substrate_load": ("open",)}
+
+
 def parse_config_text(text: str, known_keys=None) -> dict:
     """Parse ``name = value`` lines into a dict.
 
-    Blank lines and ``#`` comments are ignored.  Values are floats except for
-    a handful of word-valued keys (e.g. ``spacing``).  Unknown keys raise
-    :class:`ConfigError` when ``known_keys`` is given.
+    Blank lines and ``#`` comments are ignored.  Values are floats, except
+    that a key in WORD_KEYS may hold one of its words; any other value
+    raises :class:`ConfigError` naming the line and the key, as do unknown
+    keys when ``known_keys`` is given.
     """
     out: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -132,13 +138,22 @@ def parse_config_text(text: str, known_keys=None) -> dict:
         try:
             out[name] = float(value)
         except ValueError:
+            words = WORD_KEYS.get(name, ())
+            if value not in words:
+                raise ConfigError(f"line {lineno}: {name} = {value!r} is not "
+                                  + " or ".join(["a number", *map(repr, words)])) from None
             out[name] = value
     return out
 
 
 def load_config(path, known_keys=None) -> dict:
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_config_text(fh.read(), known_keys=known_keys)
+    """Parse a config file, which must be ASCII (see :func:`parse_config_text`)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    line = non_ascii_line(data)
+    if line is not None:
+        raise ConfigError(f"line {line}: non-ASCII character (config files are ASCII)")
+    return parse_config_text(data.decode("ascii"), known_keys=known_keys)
 
 
 def geometry_from_mapping(values: dict, base: TsvGeometry = DEFAULT_GEOMETRY) -> TsvGeometry:

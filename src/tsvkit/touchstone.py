@@ -6,7 +6,8 @@ record (the v1 convention for n >= 3 ports), all numeric fields with 9
 significant digits.  The writer is byte-deterministic: identical sweeps give
 identical files.  The exact grammar lives in docs/formats.md.
 
-The reader tolerates arbitrary whitespace, blank lines and ``!`` comments,
+The reader takes ASCII only, ends lines where ``str.splitlines`` does,
+tolerates arbitrary whitespace, blank lines and ``!`` comments,
 accepts RI/MA/DB value formats and Hz/kHz/MHz/GHz units, and rejects (never
 repairs) malformed option lines, wrong per-line value counts, non-numeric
 or non-finite values and non-monotonic frequencies, each with the offending
@@ -15,21 +16,20 @@ line number.  Both directions work on arrays over the frequency axis.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
 from .errors import TouchstoneError, ValidationError
-from .numerics import format_rows
+from .numerics import LINE_BREAK, FieldError, format_rows, non_ascii_line, parse_fields
 from .sparams import SSweep
 
 FREQUENCY_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
 FORMATS = ("RI", "MA", "DB")
 NPORTS = 3
 PER_ROW = 2 * NPORTS
-READ_CHUNK_LINES = 768
 # One record: the frequency and matrix row 1, then rows 2 and 3, one separator
 # after each field; every field has 8 digits after the point (9 significant).
 RECORD_DIGITS = 8
@@ -168,47 +168,49 @@ def _parse_option_line(line: str, lineno: int):
         raise TouchstoneError(f"only S-parameter files are supported, got type {ptype!r}", lineno)
     if resistance <= 0:
         raise TouchstoneError(f"reference resistance must be positive, got {resistance}", lineno)
+    if not math.isfinite(resistance):
+        raise TouchstoneError(f"reference resistance must be finite, got {resistance}", lineno)
     return unit, fmt, resistance
 
 
-def _read_text(source) -> str:
+def _read_bytes(source) -> bytes:
+    """The content of a path, stream or string, which must be ASCII."""
     if hasattr(source, "read"):
-        return source.read()
+        content = source.read()
     # Content starts with a comment or the option line; a path does not.
-    if isinstance(source, str) and ("\n" in source or source.lstrip()[:1] in ("!", "#")):
-        return source
-    if isinstance(source, (str, os.PathLike)):
-        with open(source, "r", encoding="ascii") as fh:
-            return fh.read()
-    raise TouchstoneError(f"unsupported source {source!r}")
-
-
-def _parse_by_line(rows, first_lineno: int) -> np.ndarray:
-    """Token values parsed line by line, naming the first line that fails."""
-    values = []
-    for lineno, row in enumerate(rows, start=first_lineno):
-        if row and row[0].startswith("#"):
-            raise TouchstoneError("second option line", lineno)
-        for tok in row:
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise TouchstoneError(f"not a number: {tok!r}", lineno) from None
-    return np.array(values)
+    elif isinstance(source, str) and ("\n" in source or source.lstrip()[:1] in ("!", "#")):
+        content = source
+    elif isinstance(source, (str, os.PathLike)):
+        try:
+            with open(source, "rb") as fh:
+                content = fh.read()
+        except OSError as err:
+            raise TouchstoneError(f"cannot read {os.fspath(source)!r}: {err.strerror}") from None
+    else:
+        raise TouchstoneError(f"unsupported source {source!r}")
+    line = non_ascii_line(content)
+    if line is not None:
+        raise TouchstoneError("non-ASCII character (Touchstone files are ASCII)", line)
+    return content.encode("ascii") if isinstance(content, str) else content
 
 
 def read_s3p(source) -> TouchstoneDocument:
-    """Parse three-port Touchstone v1 content from a path, text stream or string.
+    """Parse three-port Touchstone v1 content from a path, text or binary stream, or string.
 
     A string holding a line break, or starting with ``!`` or ``#`` after
     leading whitespace, is content; any other string is a path.
     """
-    lines = _read_text(source).splitlines()
+    content = _read_bytes(source)
 
     comments = []
     option = None
-    for lineno, raw in enumerate(lines, start=1):
-        line, _, trailing = raw.partition("!")
+    lineno = pos = 0
+    while pos < len(content):
+        end = LINE_BREAK.search(content, pos)
+        raw = content[pos:end.start() if end else len(content)]
+        pos = end.end() if end else len(content)
+        lineno += 1
+        line, _, trailing = raw.decode("ascii").partition("!")
         if trailing and not line.strip():
             comments.append(trailing.strip())
         line = line.strip()
@@ -222,22 +224,14 @@ def read_s3p(source) -> TouchstoneDocument:
         raise TouchstoneError("missing option line")
     unit, fmt, resistance = option
 
-    # Everything after the option line is data, blank lines and comments.  It
-    # is split and parsed in pieces, which bounds the memory of the tokens.
-    body = lines[lineno:]
-    first = lineno + 1   # line number of body[0]
-    del lines
-    counts, values = [np.zeros(0, dtype=int)], [np.zeros(0)]
-    for start in range(0, len(body), READ_CHUNK_LINES):
-        rows = [ln.partition("!")[0].split() for ln in body[start:start + READ_CHUNK_LINES]]
-        counts.append(np.fromiter(map(len, rows), dtype=int, count=len(rows)))
-        try:
-            values.append(np.fromiter(chain.from_iterable(rows), dtype=float,
-                                      count=int(counts[-1].sum())))
-        except ValueError:
-            values.append(_parse_by_line(rows, first + start))
-    counts = np.concatenate(counts)
-    values = np.concatenate(values)
+    # Everything after the option line is data, blank lines and comments.
+    first = lineno + 1   # line number of the first body line
+    try:
+        counts, values = parse_fields(content, pos)
+    except FieldError as err:
+        if err.field == 0 and err.token.startswith("#"):
+            raise TouchstoneError("second option line", first + err.line) from None
+        raise TouchstoneError(f"not a number: {err.token!r}", first + err.line) from None
     data = np.flatnonzero(counts)   # body index of each data line
     if not data.size:
         raise TouchstoneError("no data records")
@@ -275,17 +269,22 @@ def read_s3p(source) -> TouchstoneDocument:
         problems.append((k, f"record truncated: missing matrix row {n - k + 1}"))
     if nonfinite.size:
         k = nonfinite_line[0]
+        body = content[pos:].decode("ascii").splitlines()
         token = body[data[k]].partition("!")[0].split()[nonfinite[0] - starts[k]]
         problems.append((k, f"not a finite number: {token!r}"))
     if problems:
         k, message = min(problems, key=lambda problem: problem[0])
         raise TouchstoneError(message, int(linenos[k]))
 
+    # The text is no longer needed, and S is built in one array: a smaller heap
+    # for what comes after the read.
+    del content
     table = values.reshape(-1, 1 + NPORTS * PER_ROW)
     a = table[:, 1::2]
     b = table[:, 2::2]
     if fmt == "RI":
-        s = a + 1j * b
+        s = 1j * b   # a + 1j * b, bit for bit
+        s += a
     else:
         ang = np.radians(b)
         with np.errstate(all="ignore"):   # overflow is reported below

@@ -388,6 +388,29 @@ class TestCommandLineErrors:
         assert self.one_error_line(err) and named in err
         assert not out_s3p.exists() and not out_csv.exists()
 
+    @pytest.mark.parametrize("text, named", [("height = abc\n", "line 1: height = 'abc'"),
+                                              ("radius = 2e-6\nn_a = 1e21x\n", "line 2: n_a"),
+                                              ("# caf\u00e9\n", "line 1: non-ASCII"),
+                                              ("height = 5e-5\n\n# \u00b5m\n", "line 3"),
+                                              ("z0 = fifty\n", "line 1: z0"),
+                                              ("spacing = linaer\n", "line 1: spacing"),
+                                              ("substrate_load = abc\n", "line 1: substrate_load")])
+    def test_bad_config_file_is_one_error_line(self, text, named, tmp_path, capsys):
+        cfg = tmp_path / "design.cfg"
+        cfg.write_bytes(text.encode("utf-8"))
+        out_s3p, out_csv = tmp_path / "p.s3p", tmp_path / "p.csv"
+        code, out, err = run(capsys, "extract", "--config", str(cfg),
+                             "--out", str(out_s3p), "--csv", str(out_csv))
+        assert code == 2 and out == ""
+        assert self.one_error_line(err) and named in err
+        assert not out_s3p.exists() and not out_csv.exists()
+
+    def test_open_substrate_load_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "spur.cfg"
+        cfg.write_text("substrate_load = open\n")
+        code, _, _ = run(capsys, "spur", "--mode", "amplitude", "--config", str(cfg))
+        assert code == 0
+
     def test_whole_points_in_config(self, tmp_path, capsys):
         cfg = tmp_path / "grid.cfg"
         cfg.write_text("points = 5.0\nspacing = linear\n")

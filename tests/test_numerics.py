@@ -1,4 +1,4 @@
-"""Stacked extended-precision solves, condition numbers and the %.Ne text kernel."""
+"""Stacked extended-precision solves, condition numbers and the text kernels."""
 
 from dataclasses import replace
 
@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid, NetworkDegeneracyError,
-                    ValidationError, s_sweep, z_sweep)
-from tsvkit.numerics import (PIECE_ROWS, condition_number, csv_text, format_rows, pieces,
-                             solve_extended)
+                    ValidationError, numerics, s_sweep, z_sweep)
+from tsvkit.numerics import (PIECE_ROWS, FieldError, condition_number, csv_text, format_rows,
+                             non_ascii_line, parse_fields, pieces, solve_extended)
 
 
 def reference_solve(a, b):
@@ -206,3 +206,118 @@ class TestFormatRows:
             list(format_rows(table, digits, SEPARATORS[1:]))
         with pytest.raises(ValidationError):
             list(format_rows(table, 10, SEPARATORS))
+
+
+def reference_fields(text):
+    """What parse_fields must give: str.splitlines, partition("!"), str.split, float()."""
+    rows = [line.partition("!")[0].split() for line in text.decode("ascii").splitlines()]
+    return [len(row) for row in rows], np.array([float(field) for row in rows for field in row])
+
+
+def fields_text(values, spec="%.8e", per_line=7):
+    fields = [spec % v for v in np.asarray(values, dtype=float).tolist()]
+    return "".join(" ".join(fields[i:i + per_line]) + "\n"
+                   for i in range(0, len(fields), per_line)).encode("ascii")
+
+
+class TestParseFields:
+    """parse_fields against str.splitlines, str.split and float(), bit for bit."""
+
+    def check(self, text, start=0):
+        counts, values = parse_fields(text, start)
+        ref_counts, ref_values = reference_fields(text[start:])
+        assert counts.tolist() == ref_counts
+        assert values.tobytes() == ref_values.tobytes()
+        return values
+
+    def test_random_bit_patterns(self):
+        rng = np.random.default_rng(7)
+        patterns = rng.integers(0, 2 ** 64, 100_000, dtype=np.uint64, endpoint=False).view(float)
+        self.check(fields_text(patterns))
+
+    def test_every_exponent_and_the_fast_range_edge(self):
+        rng = np.random.default_rng(8)
+        values = []
+        for j in range(-30, 31):
+            for m in [1.0, 9.99999999, 5.000000005, *rng.uniform(1, 10, 20).tolist()]:
+                v = float(f"{m:.8f}e{j}")
+                values += [v, -v, np.nextafter(v, 0), np.nextafter(v, np.inf)]
+        values = self.check(fields_text(values))
+        assert np.isfinite(values).all()
+
+    def test_fast_form_within_its_range_never_reaches_float(self, monkeypatch):
+        calls = []
+
+        def counting_float(field):
+            calls.append(field)
+            return float(field)
+
+        monkeypatch.setattr(numerics, "float", counting_float, raising=False)
+        rng = np.random.default_rng(9)
+        inside = rng.uniform(1, 10, 3000) * 10.0 ** rng.integers(-14, 31, 3000)
+        inside[::2] *= -1
+        self.check(fields_text(inside) + b"1.00000000e-14 -9.99999999e+30 +1.00000000E-14\n")
+        assert calls == []
+        self.check(b"1.00000000e-15 9.99999999e+31 1.0000000e+05 1.000000000e+05 1e5 "
+                   b"1.00000000e+005\n")
+        assert len(calls) == 6
+
+    def test_signs_zeros_subnormals_and_long_exponents(self):
+        self.check(b"0.00000000e+00 -0.00000000e+00 +0.00000000e+00 -0.00000000e-14 "
+                   b"+1.23456789e+05 1.23456789E+05 -1.23456789E-05 4.94065646e-324 "
+                   b"-2.22507386e-308 1.79769313e+308 1.00000000e+100 1.00000000e-100 "
+                   b"-0 +.5 5. 1_0 nan -inf +inf 1e400 -1e-400 0.5 12 1.234567890e+05\n")
+
+    def test_fields_per_line(self):
+        rng = np.random.default_rng(10)
+        fields = ["1.00000000e+05", "-2.5", "7", "", "!", "! x 1"]
+        spaces = [" ", "  ", "\t", "\n", "\r", "\r\n", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f",
+                  "\n\n", "\r\r", " \n "]
+        for _ in range(200):
+            text = "".join(a + b for a, b in zip(rng.choice(fields, 40),
+                                                 rng.choice(spaces, 40))).encode("ascii")
+            self.check(text)
+            self.check(b"\n" * 20 + text, start=int(rng.integers(0, 21)))
+
+    @pytest.mark.parametrize("piece_bytes", [1, 3, 100])
+    def test_pieces_keep_lines_whole(self, piece_bytes, monkeypatch):
+        monkeypatch.setattr(numerics, "PIECE_BYTES", piece_bytes)
+        text = fields_text(np.linspace(-3, 3, 70), per_line=6)
+        for br in ("\n", "\r\n", "\r", "\x1e", "\r\r\n"):
+            self.check(text.replace(b"\n", br.encode("ascii")))
+            self.check(text.replace(b"\n", br.encode("ascii")).rstrip())
+
+    def test_refused_field_names_line_and_place(self):
+        for text, line, field, token in [(b"1 2\n3 x\n", 1, 1, "x"),
+                                         (b"1\r\n\r\n2 3 1\x00 4\n", 2, 2, "1\x00"),
+                                         (b"# 1\n", 0, 0, "#"),
+                                         (b"1.00000000e+05 1.0000000xe+05\x1c", 0, 1,
+                                          "1.0000000xe+05")]:
+            with pytest.raises(FieldError) as err:
+                parse_fields(text)
+            assert (err.value.line, err.value.field, err.value.token) == (line, field, token)
+
+    def test_one_character_changed_anywhere(self):
+        # every printable character at every place of a fast field: the field
+        # either is a float, with the value float() gives, or is refused
+        token = b"-1.23456789e+05"
+        accepted = []
+        for place in range(len(token)):
+            for byte in range(34, 127):   # 33 is "!", which starts a comment
+                field = token[:place] + bytes([byte]) + token[place + 1:]
+                try:
+                    float(field)
+                except ValueError:
+                    with pytest.raises(FieldError):
+                        parse_fields(b"1.00000000e+00 " + field + b"\n")
+                else:
+                    accepted.append(field)
+        assert len(accepted) > 14 * 10
+        self.check(b" ".join(accepted) + b"\n")
+        self.check(b" ".join(field[1:] for field in accepted) + b"\n")
+
+    def test_non_ascii_line(self):
+        assert non_ascii_line(b"abc\n") is None and non_ascii_line("abc") is None
+        assert non_ascii_line(b"a\r\nb\x0bc\xe9") == 3
+        assert non_ascii_line("a\n\n\u00e9") == 3
+        assert non_ascii_line(b"\xff") == 1

@@ -1,12 +1,14 @@
 """Touchstone v1 writer/reader: format contract, tolerance, round-trips, errors."""
 
 import io
+import random
 
 import numpy as np
 import pytest
 
+from touchstone_reference import reference_read
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
-                    ThreePortS, TouchstoneError, ValidationError)
+                    ThreePortS, TouchstoneError, ValidationError, numerics)
 from tsvkit.network import z_sweep
 from tsvkit.sparams import SSweep, s_sweep
 from tsvkit.touchstone import TouchstoneDocument, read_s3p, write_s3p
@@ -205,6 +207,12 @@ class TestReader:
             read_s3p(MINIMAL.replace("# GHz S MA R 50", "# GHz S MA R fifty"))
         assert err.value.line == 2
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "+Infinity"])
+    def test_non_finite_resistance_named(self, value):
+        with pytest.raises(TouchstoneError, match="finite") as err:
+            read_s3p(MINIMAL.replace("R 50", f"R {value}"))
+        assert err.value.line == 2
+
     def test_unknown_option_token(self):
         with pytest.raises(TouchstoneError):
             read_s3p(MINIMAL.replace(" MA ", " QQ "))
@@ -273,6 +281,12 @@ class TestReader:
             read_s3p("\n".join(lines))
         assert err.value.line == 9 and "row 2" in str(err.value)
 
+    def test_signed_zeros_keep_their_bits(self):
+        zeros = "-0.00000000e+00 0.00000000e+00 0.00000000e+00 -0.00000000e+00 -0 -0 "
+        doc = read_s3p("# Hz S RI R 50\n1 " + zeros + "\n" + zeros + "\n" + zeros + "\n")
+        a, b = np.array([-0.0, 0.0, -0.0]), np.array([0.0, -0.0, -0.0])
+        assert doc.records.matrices[0, 0].tobytes() == (a + 1j * b).tobytes()
+
     def test_db_overflow_named(self):
         with pytest.raises(TouchstoneError) as err:
             read_s3p(MINIMAL.replace("MA", "DB").replace("0.4 30", "9e9 30"))
@@ -287,6 +301,138 @@ class TestReader:
         with pytest.raises(TouchstoneError) as err:
             read_s3p("1.0 0 0 0 0 0 0\n" + MINIMAL)
         assert err.value.line == 1
+
+
+class TestReaderSources:
+    def test_non_ascii_byte_named_by_line(self, tmp_path):
+        path = tmp_path / "accent.s3p"
+        path.write_bytes(MINIMAL.replace("tiny file", "tiny caf\u00e9").encode("utf-8"))
+        with pytest.raises(TouchstoneError, match="non-ASCII") as err:
+            read_s3p(path)
+        assert err.value.line == 1
+        path.write_bytes(MINIMAL.encode("ascii").replace(b"0.4 30", b"0.4 3\xb0"))
+        with pytest.raises(TouchstoneError) as err:
+            read_s3p(str(path))
+        assert err.value.line == 4
+
+    def test_non_ascii_content_named_by_line(self):
+        for text in (MINIMAL.replace("0.5 40\n", "0.5 40 \u2028\n", 1),
+                     io.StringIO(MINIMAL + "! \u00e9\n"),
+                     io.BytesIO(MINIMAL.replace("\n", "\r\n").encode("ascii") + b"\xff")):
+            with pytest.raises(TouchstoneError, match="non-ASCII") as err:
+                read_s3p(text)
+            assert err.value.line in (4, 6)
+
+    def test_missing_path_and_directory(self, tmp_path):
+        missing = tmp_path / "missing.s3p"
+        with pytest.raises(TouchstoneError, match="No such file") as err:
+            read_s3p(missing)
+        assert str(missing) in str(err.value) and err.value.line is None
+        with pytest.raises(TouchstoneError, match="directory"):
+            read_s3p(str(tmp_path))
+
+    def test_bytes_stream(self):
+        doc = read_s3p(io.BytesIO(MINIMAL.encode("ascii")))
+        assert doc.records.matrices.tobytes() == read_s3p(MINIMAL).records.matrices.tobytes()
+
+
+def outcome(read, text):
+    """What a reader makes of text: the document's bits, or its error and line."""
+    try:
+        unit, fmt, resistance, comments, freqs, s = read(text)
+    except TouchstoneError as err:
+        return "error", str(err), err.line
+    return unit, fmt, resistance, comments, freqs.tobytes(), s.tobytes()
+
+
+def read_document(source):
+    doc = read_s3p(source)
+    return (doc.frequency_unit, doc.value_format, doc.reference_resistance, doc.comments,
+            doc.records.frequencies, doc.records.matrices)
+
+
+FIELDS = ["nan", "inf", "-inf", "+nan", "1_0", "1__0", "1\x00", "0x10", "1e400", "-1e400",
+          "1e-400", "+1.00000000e+05", "1.00000000E+05", "1.00000000e+100", "5e-324", "-0",
+          "+.5", "5.", "#", "#5", "!5", "1.234567890e+05", "9.99999999e+30", "1.00000000e+31",
+          "1.00000000e-14", "1.00000000e-15", "\u00b0", "9e9", "-9e9"]
+BREAKS = ["\r\n", "\r", "\v", "\f", "\x1c", "\x1d", "\x1e", "\x1f", "\n\n", "\r\r\n"]
+SPACES = ["\t", "  ", "\x1f", "\v", "\x1c", " \t ", "\x00"]
+
+
+def mutate(rng, text):
+    """text with one seeded edit of the kinds a Touchstone file meets."""
+    lines = text.split("\n")
+    k = rng.randrange(len(lines))
+    kind = rng.randrange(12)
+    if kind == 0:                                   # other line breaks, all or one
+        br = rng.choice(BREAKS)
+        return text.replace("\n", br) if rng.random() < 0.5 else "\n".join(lines[:k]) + br + \
+            "\n".join(lines[k:])
+    if kind == 1:                                   # other whitespace between fields
+        parts = text.split(" ")
+        j = rng.randrange(len(parts))
+        return " ".join(parts[:j]) + rng.choice(SPACES) + " ".join(parts[j:])
+    if kind == 2:                                   # blank and whitespace lines
+        lines.insert(k, rng.choice(["", "   ", "\t", "\x1f"]))
+    elif kind == 3:                                 # trailing and full-line comments
+        lines[k] += rng.choice([" ! note", "!", "! x ! y", "\t!\t", "\r! cr"])
+    elif kind == 4:
+        lines.insert(k, rng.choice(["! full line", "!", "   ! indented"]))
+    elif kind == 5:                                 # a second option line
+        lines.insert(k, rng.choice(["# Hz S RI R 50", "#", "  # GHz"]))
+    elif kind == 6:                                 # one field replaced
+        fields = lines[k].split(" ")
+        fields[rng.randrange(len(fields))] = rng.choice(FIELDS)
+        lines[k] = " ".join(fields)
+    elif kind == 7:                                 # cut short anywhere
+        return text[:rng.randrange(len(text) + 1)]
+    elif kind == 8:                                 # no final line break
+        return text.rstrip("\n")
+    elif kind == 9:                                 # a line lost, doubled or moved
+        line = lines.pop(k)
+        if rng.random() < 0.7:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+    elif kind == 10:                                # the last record moved up: frequencies fall
+        first = 1 + next((i for i, line in enumerate(lines) if line.startswith("#")), 0)
+        j = first + 3 * rng.randrange(max(1, (len(lines) - first) // 3))
+        lines[j:j] = lines[-4:-1]
+        del lines[-4:-1]
+    else:                                           # a non-ASCII character or a NUL
+        j = rng.randrange(len(text) + 1)
+        return text[:j] + rng.choice(["\u00e9", "\x85", "\u2028", "\x00", "\x7f"]) + text[j:]
+    return "\n".join(lines)
+
+
+class TestReaderFuzz:
+    """read_s3p against the line-by-line reference on seeded mutations of real files."""
+
+    def bases(self):
+        sweep = model_sweep(n=4)
+        texts = [write_text(sweep, fmt, comments=["generator x", "height = 5e-05"])
+                 for fmt in ("RI", "MA", "DB")]
+        return texts + [MINIMAL, MINIMAL.replace("GHz", "kHz").replace("1.0  ", "-1.0  ")]
+
+    def test_same_document_or_same_error(self, monkeypatch):
+        rng = random.Random(20260)
+        bases = self.bases()
+        errors = 0
+        for case in range(1000):
+            text = rng.choice(bases)
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                text = mutate(rng, text)
+            monkeypatch.setattr(numerics, "PIECE_BYTES", rng.choice([1 << 17, 1, 5, 64]))
+            expected = outcome(reference_read, text)
+            source = io.StringIO(text) if case % 2 else io.BytesIO(text.encode("utf-8"))
+            assert outcome(read_document, source) == expected, repr(text)
+            errors += expected[0] == "error"
+        assert 200 < errors < 800   # the mutations reach both outcomes
+
+    @pytest.mark.parametrize("records, piece_bytes", [(601, 1 << 17), (601, 1000), (20, 1)])
+    def test_whole_files_in_pieces(self, records, piece_bytes, monkeypatch):
+        text = write_text(model_sweep(n=records), "MA", comments=["x"])
+        monkeypatch.setattr(numerics, "PIECE_BYTES", piece_bytes)
+        for variant in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):
+            assert outcome(read_document, variant) == outcome(reference_read, variant)
 
 
 class TestDocumentInvariants:
