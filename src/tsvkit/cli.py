@@ -20,7 +20,7 @@ from .network import FrequencyGrid, verify_dual_route, z_sweep, z_sweep_csv
 from .numerics import csv_text
 from .params import (GEOMETRY_KEYS, MATERIAL_KEYS, geometry_from_mapping, load_config,
                      materials_from_mapping)
-from .rlgc import r_dc, rlgc_at
+from .rlgc import c_d, c_ox, c_si_g_si, depletion_width, l_tsv, r_dc
 from .sparams import magnitude_db, max_singular_value, s_sweep, s_sweep_csv, s_to_z
 from .spur import (BUILTIN_CALIBRATION_POINTS, DEFAULT_F_OSC, REPLICA_SUBSTRATE_LOAD,
                    OscillatorModel, amplitude_sweep, calibrate_k_sub, frequency_sweep,
@@ -121,10 +121,14 @@ def _resolve(args):
 
 
 def _elements(geom, mat) -> dict:
-    """The ELEMENT_UNITS values: R_dc and the frequency-independent values of rlgc_at."""
-    el = rlgc_at(1e9, geom, mat)   # the frequency sets only the resistance, not reported
-    return {"r_dc": r_dc(geom, mat), "l_tsv": el.l_total, "c_ox": el.c_ox, "c_d": el.c_d,
-            "c_si": el.c_si, "g_si": el.g_si}
+    """The ELEMENT_UNITS values, none of which depends on frequency."""
+    c_si, g_si = c_si_g_si(geom, mat)
+    values = {"r_dc": r_dc(geom, mat), "l_tsv": l_tsv(geom, mat), "c_ox": c_ox(geom, mat),
+              "c_d": c_d(geom, mat, depletion_width(mat)), "c_si": c_si, "g_si": g_si}
+    bad = [name for name, value in values.items() if not (value > 0 and np.isfinite(value))]
+    if bad:
+        raise ValidationError(f"{bad[0]} = {values[bad[0]]!r} is not finite and positive")
+    return values
 
 
 def cmd_extract(args) -> int:

@@ -24,7 +24,9 @@ Two independent computation routes are provided: closed-form branch algebra
 (`branch_impedances`, used per point by `z_matrix_at` and over the whole
 frequency axis by `z_sweep`) and modified nodal analysis with unit current
 injection (`z_matrix_mna`).  They must agree to 1e-9; `verify_dual_route`
-checks that.
+checks that.  The nodal route stamps the fixed network into one 5x5 matrix
+(`nodal_admittance`), with the nodes in the order port1, mid, port3, port2
+and the internal node between C_ox and C_d; the reference is eliminated.
 """
 
 from __future__ import annotations
@@ -36,15 +38,23 @@ import numpy as np
 
 from .errors import NetworkDegeneracyError, ValidationError
 from .numerics import csv_text, pieces, solve_extended
-from .params import MaterialParams, TsvGeometry
-from .rlgc import RlgcElements, r_total, rlgc_at
+from .params import MaterialParams, TsvGeometry, is_finite_real
+from .rlgc import RlgcElements, rlgc_at
 
 # Element values below this are rejected rather than stamped: they would make
 # the nodal matrix numerically indistinguishable from singular.
 MIN_ELEMENT = 1e-30
 
-PORT_NODES = ("port1", "port2", "port3")
-REFERENCE_NODE = "gnd"
+# Nodal-matrix indices of ports 1, 2 and 3 (see `nodal_admittance`).
+PORT_INDEX = [0, 3, 2]
+
+
+def _check_bounds(start, stop, n) -> None:
+    """The arguments of the FrequencyGrid constructors, checked before numpy sees them."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
+        raise ValidationError(f"need an integer n >= 2, got {n!r}")
+    if not (is_finite_real(start) and is_finite_real(stop) and 0 < start < stop):
+        raise ValidationError(f"need finite 0 < start < stop, got {start!r} and {stop!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -71,15 +81,13 @@ class FrequencyGrid:
 
     @classmethod
     def logarithmic(cls, start: float = 1e6, stop: float = 100e9, n: int = 201) -> "FrequencyGrid":
-        if n < 2 or start <= 0 or stop <= start:
-            raise ValidationError("need n >= 2 and 0 < start < stop")
+        _check_bounds(start, stop, n)
         return cls(points=np.logspace(math.log10(start), math.log10(stop), n),
                    spacing="logarithmic")
 
     @classmethod
     def linear(cls, start: float, stop: float, n: int) -> "FrequencyGrid":
-        if n < 2 or start <= 0 or stop <= start:
-            raise ValidationError("need n >= 2 and 0 < start < stop")
+        _check_bounds(start, stop, n)
         return cls(points=np.linspace(start, stop, n), spacing="linear")
 
     @classmethod
@@ -125,56 +133,11 @@ class ZSweep:
         return ThreePortZ(frequency=float(self.frequency[k]), z=self.z[k])
 
 
-@dataclass(frozen=True)
-class Branch:
-    node_a: str
-    node_b: str
-    kind: str        # 'series_rl' | 'conductance' | 'capacitance' | 'series_capacitance'
-    values: tuple
+def branch_impedances(f, elements: RlgcElements):
+    """The branch impedances (Z_seg, Z_lat, Z_stack) at ``f`` Hz.
 
-
-@dataclass(frozen=True)
-class NetworkDescription:
-    nodes: tuple
-    reference: str
-    branches: tuple
-
-
-def assemble_topology(elements: RlgcElements, r_half=None) -> NetworkDescription:
-    """Node/branch description of the fixed three-port network.
-
-    ``r_half`` (default ``elements.r_half``) is the half-segment resistance,
-    a scalar or an array over the frequency axis as in
-    :func:`branch_impedances`; the other values come from ``elements``.
-    """
-    r_half = elements.r_half if r_half is None else r_half
-    for name, value in (("r_half", np.min(r_half)), ("l_half", elements.l_half),
-                        ("c_ox", elements.c_ox), ("c_d", elements.c_d),
-                        ("c_si", elements.c_si), ("g_si", elements.g_si)):
-        if value < MIN_ELEMENT:
-            raise ValidationError(
-                f"{name} = {value} below {MIN_ELEMENT}: "
-                "degenerate element would produce a singular network"
-            )
-    return NetworkDescription(
-        nodes=("port1", "mid", "port3", "port2"),
-        reference=REFERENCE_NODE,
-        branches=(
-            Branch("port1", "mid", "series_rl", (r_half, elements.l_half)),
-            Branch("mid", "port3", "series_rl", (r_half, elements.l_half)),
-            Branch("mid", "port2", "conductance", (elements.g_si,)),
-            Branch("mid", "port2", "capacitance", (elements.c_si,)),
-            Branch("port2", REFERENCE_NODE, "series_capacitance", (elements.c_ox, elements.c_d)),
-        ),
-    )
-
-
-def branch_impedances(f, r_half, elements: RlgcElements):
-    """Branch impedances (Z_seg, Z_lat, Z_stack) at ``f`` Hz.
-
-    ``f`` and ``r_half`` (the half-segment resistance at ``f``) are scalars
-    or arrays over the frequency axis; the other element values come from
-    ``elements``.  With s = j*2*pi*f:
+    ``f`` and the half-segment resistance ``elements.r_half`` are scalars
+    or arrays over the frequency axis.  With s = j*2*pi*f:
 
         Z_seg   = R/2 + sL/2           one vertical half-segment
         Z_lat   = 1/(G_si + sC_si)     lateral silicon path
@@ -187,7 +150,7 @@ def branch_impedances(f, r_half, elements: RlgcElements):
     w = 2.0 * math.pi * f
     wc = w * elements.c_si
     den = elements.g_si * elements.g_si + wc * wc
-    z_seg = r_half + 1j * (w * elements.l_half)
+    z_seg = elements.r_half + 1j * (w * elements.l_half)
     z_lat = elements.g_si / den - 1j * (wc / den)
     z_stack = -1j * (1.0 / (w * elements.c_ox) + 1.0 / (w * elements.c_d))
     return z_seg, z_lat, z_stack
@@ -214,8 +177,10 @@ def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
     """Closed-form impedance matrix from branch algebra (see :func:`branch_impedances`)."""
     if not (f > 0 and math.isfinite(f)):
         raise ValidationError(f"frequency must be finite and positive, got {f!r}")
+    if isinstance(elements.r_half, np.ndarray):
+        raise ValidationError("z_matrix_at needs one-frequency elements; use z_matrix_mna")
     try:
-        z = _assemble_z(*branch_impedances(f, elements.r_half, elements))
+        z = _assemble_z(*branch_impedances(f, elements))
     except ZeroDivisionError:
         raise NetworkDegeneracyError("zero branch admittance", frequency=f) from None
     if not np.isfinite(z).all():
@@ -223,75 +188,56 @@ def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
     return ThreePortZ(frequency=f, z=z)
 
 
-def _stamp(y: np.ndarray, index: dict, node_a: str, node_b: str, admittance) -> None:
-    a = index.get(node_a, -1)
-    b = index.get(node_b, -1)
-    if a >= 0:
-        y[..., a, a] += admittance
-    if b >= 0:
-        y[..., b, b] += admittance
-    if a >= 0 and b >= 0:
-        y[..., a, b] -= admittance
-        y[..., b, a] -= admittance
+def nodal_admittance(f, elements: RlgcElements, r_half) -> np.ndarray:
+    """Complex nodal admittance matrix of the fixed network, reference eliminated.
 
-
-def nodal_admittance(f, description: NetworkDescription) -> tuple[np.ndarray, dict]:
-    """Complex nodal admittance matrix with the reference node eliminated.
-
-    Series RC stacks get their internal node stamped explicitly, so this route
-    shares no algebra with the closed form beyond the element values.  The
-    matrix is assembled and returned in clongdouble: the diagonal sums mix
-    admittances ~12 orders of magnitude apart, and rounding the small ones
-    into the large ones at double precision already costs ~1e-8 of the Z22
-    entries at the bottom of the default grid.
-
-    ``f`` is one frequency, giving one (n, n) matrix, or an (N,) vector,
-    giving a stack (N, n, n); each branch value is then a scalar or an (N,)
-    array over the same frequencies.
+    Nodes: port1, mid, port3, port2 and the internal node of the C_ox -- C_d
+    stack, stamped explicitly, so this route shares no algebra with the
+    closed form beyond the element values.  Assembled and returned in
+    clongdouble: the diagonal sums mix admittances ~12 orders of magnitude
+    apart, and rounding the small ones into the large ones at double
+    precision already costs ~1e-8 of the Z22 entries at the bottom of the
+    default grid.  ``f`` is one frequency, giving a (5, 5) matrix, or an (N,)
+    vector, giving (N, 5, 5); ``r_half`` is a scalar or an (N,) array.
     """
+    for name, value in (("r_half", np.min(r_half)), ("l_half", elements.l_half),
+                        ("c_ox", elements.c_ox), ("c_d", elements.c_d),
+                        ("c_si", elements.c_si), ("g_si", elements.g_si)):
+        if value < MIN_ELEMENT:
+            raise ValidationError(
+                f"{name} = {value} below {MIN_ELEMENT}: "
+                "degenerate element would produce a singular network"
+            )
     s = np.clongdouble(2j * math.pi) * np.clongdouble(f)
-    one = np.clongdouble(1.0)
-    index = {}
-    for node in description.nodes:
-        index[node] = len(index)
-    extra = 0
-    rows = []
-    for br in description.branches:
-        if br.kind == "series_capacitance":
-            internal = f"_x{extra}"
-            extra += 1
-            index[internal] = len(index)
-            rows.append((br.node_a, internal, s * np.clongdouble(br.values[0])))
-            rows.append((internal, br.node_b, s * np.clongdouble(br.values[1])))
-        elif br.kind == "series_rl":
-            r, l = br.values
-            rows.append((br.node_a, br.node_b,
-                         one / (np.clongdouble(r) + s * np.clongdouble(l))))
-        elif br.kind == "conductance":
-            rows.append((br.node_a, br.node_b, np.clongdouble(br.values[0])))
-        elif br.kind == "capacitance":
-            rows.append((br.node_a, br.node_b, s * np.clongdouble(br.values[0])))
-        else:
-            raise ValidationError(f"unknown branch kind {br.kind!r}")
-    y = np.zeros(np.shape(s) + (len(index), len(index)), dtype=np.clongdouble)
-    for node_a, node_b, adm in rows:
-        _stamp(y, index, node_a, node_b, adm)
-    return y, index
+    y_seg = np.clongdouble(1.0) / (np.clongdouble(r_half) + s * np.clongdouble(elements.l_half))
+    y = np.zeros(np.shape(s) + (5, 5), dtype=np.clongdouble)
+    # One stamp per element, always in this order: the order sets how the
+    # clongdouble sums round, signed zeros included.  b = None is the reference.
+    for a, b, admittance in ((0, 1, y_seg), (1, 2, y_seg),
+                             (1, 3, np.clongdouble(elements.g_si)),
+                             (1, 3, s * np.clongdouble(elements.c_si)),
+                             (3, 4, s * np.clongdouble(elements.c_ox)),
+                             (4, None, s * np.clongdouble(elements.c_d))):
+        y[..., a, a] += admittance
+        if b is not None:
+            y[..., b, b] += admittance
+            y[..., a, b] -= admittance
+            y[..., b, a] -= admittance
+    return y
 
 
 def _port_z(f, elements: RlgcElements, r_half) -> np.ndarray:
     """Open-circuit port voltages for unit port currents: (3, 3), or (N, 3, 3) over f."""
-    y, index = nodal_admittance(f, assemble_topology(elements, r_half))
-    ports = [index[p] for p in PORT_NODES]
-    rhs = np.zeros((y.shape[-1], 3))
-    rhs[ports, range(3)] = 1.0
+    y = nodal_admittance(f, elements, r_half)
+    rhs = np.zeros((5, 3))
+    rhs[PORT_INDEX, range(3)] = 1.0
     try:
         v = solve_extended(y, np.broadcast_to(rhs, y.shape[:-1] + (3,)))
     except NetworkDegeneracyError as err:
         fk = float(np.atleast_1d(f)[err.index])
         raise NetworkDegeneracyError(
             f"singular nodal matrix at {fk:.6g} Hz", frequency=fk) from err
-    z = v[..., ports, :]
+    z = v[..., PORT_INDEX, :]
     bad = np.flatnonzero(~np.isfinite(z).all(axis=(-2, -1)))
     if bad.size:
         fk = float(np.atleast_1d(f)[bad[0]])
@@ -299,22 +245,23 @@ def _port_z(f, elements: RlgcElements, r_half) -> np.ndarray:
     return z
 
 
-def z_matrix_mna(f, elements: RlgcElements, r_half=None):
+def z_matrix_mna(f, elements: RlgcElements):
     """Impedance matrix by modified nodal analysis.
 
     Each column is obtained by injecting 1 A into one port and reading the
     open-circuit node voltages.  ``f`` is one frequency, giving a
     :class:`ThreePortZ`, or an (N,) vector, giving an (N, 3, 3) array
-    solved as stacks of PIECE_ROWS frequencies.  ``r_half`` (default
-    ``elements.r_half``) is the half-segment resistance at ``f``, a scalar
-    or an (N,) array; the other values come from ``elements``.
+    solved as stacks of PIECE_ROWS frequencies.  The half-segment
+    resistance ``elements.r_half`` is a scalar or an (N,) array at ``f``.
     """
     freqs = np.asarray(f, dtype=float)
     bad = ~((freqs > 0) & np.isfinite(freqs))
     if bad.any():
         raise ValidationError(
             f"frequency must be finite and positive, got {float(freqs[bad][0])!r}")
-    r_half = elements.r_half if r_half is None else r_half
+    r_half = elements.r_half
+    if np.ndim(r_half) and np.shape(r_half) != freqs.shape:
+        raise ValidationError(f"elements hold {np.size(r_half)} frequencies, f {freqs.size}")
     if freqs.ndim == 0:
         return ThreePortZ(frequency=f, z=_port_z(f, elements, r_half))
     z = np.empty(freqs.shape + (3, 3), dtype=complex)
@@ -327,9 +274,8 @@ def z_matrix_mna(f, elements: RlgcElements, r_half=None):
 def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> ZSweep:
     """Closed-form impedance matrices over the grid, computed as arrays over f."""
     f = grid.points
-    elements = rlgc_at(float(f[0]), geom, mat)   # the frequency-independent values
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        branches = branch_impedances(f, r_total(f, geom, mat) / 2.0, elements)
+        branches = branch_impedances(f, rlgc_at(f, geom, mat))
         z = _assemble_z(*branches)
     bad = np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))
     if bad.size:
@@ -345,8 +291,7 @@ def verify_dual_route(sweep, geom: TsvGeometry, mat: MaterialParams,
 
     ``sweep`` is the :class:`ZSweep` that ``z_sweep(..., geom, mat)`` built,
     or a :class:`FrequencyGrid` to build it on.  Its matrices are compared
-    with :func:`z_matrix_mna` over the same frequencies, fed the
-    half-segment resistance from one array evaluation of ``r_total``.
+    with :func:`z_matrix_mna` over the same frequencies.
     Raises :class:`NetworkDegeneracyError` if any grid point exceeds ``rtol``
     or disagrees by a non-finite amount; with ``rtol=None`` it only reports
     the worst value (NaN if any point's is).
@@ -354,7 +299,7 @@ def verify_dual_route(sweep, geom: TsvGeometry, mat: MaterialParams,
     if isinstance(sweep, FrequencyGrid):
         sweep = z_sweep(sweep, geom, mat)
     f = sweep.frequency
-    mna = z_matrix_mna(f, rlgc_at(float(f[0]), geom, mat), r_total(f, geom, mat) / 2.0)
+    mna = z_matrix_mna(f, rlgc_at(f, geom, mat))
     rel = (np.abs(sweep.z - mna) / np.abs(sweep.z)).max(axis=(1, 2))
     if rtol is not None and not (rel <= rtol).all():   # NaN fails too
         k = np.flatnonzero(~(rel <= rtol))[0]

@@ -14,12 +14,17 @@ from .errors import ConfigError, ValidationError
 from .numerics import non_ascii_line
 
 
+def is_finite_real(value) -> bool:
+    """Whether ``value`` is a finite int or float (numpy's float64 is one), not a bool."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 def _require_positive_fields(obj) -> None:
     """Every field must be a finite, strictly positive real number (not a bool)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
-        if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or not (value > 0 and math.isfinite(value))):
+        if not (is_finite_real(value) and value > 0):
             raise ValidationError(f"{f.name} must be finite and strictly positive, got {value!r}")
 
 

@@ -26,10 +26,11 @@ PITCH_RATIO_FLOOR = 1e-12    # on p/(2r) - 1
 
 @dataclass(frozen=True)
 class RlgcElements:
-    """Lumped element values of the three-port network at one frequency.
+    """Lumped element values of the three-port network.
 
-    Only the resistance depends on frequency; capacitances, conductance and
-    inductance are geometry/material constants.
+    Only the resistance depends on frequency: ``r_total``, ``r_half`` and
+    ``frequency`` are floats at one frequency and (N,) arrays over a vector
+    of them; capacitances, conductance and inductance are constants.
     """
 
     r_total: float    # ohm, full via, at `frequency`
@@ -43,21 +44,25 @@ class RlgcElements:
     frequency: float  # Hz
 
     def __post_init__(self):
-        for name in ("r_total", "r_half", "l_total", "l_half",
-                     "c_ox", "c_d", "c_si", "g_si", "frequency"):
+        # Plain float comparisons for scalars: the spur sweeps build a record per point.
+        for name in ("l_total", "l_half", "c_ox", "c_d", "c_si", "g_si"):
             value = getattr(self, name)
             if not (value > 0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        if self.r_half != self.r_total / 2 or self.l_half != self.l_total / 2:
+        for name in ("r_total", "r_half", "frequency"):
+            value = getattr(self, name)
+            if isinstance(value, np.ndarray):
+                if not (value.ndim == 1 and (value > 0).all() and np.isfinite(value).all()
+                        and np.shape(self.r_total) == np.shape(self.r_half)
+                        == np.shape(self.frequency)):
+                    raise ValidationError(f"{name} must be a 1-D array of finite positive "
+                                          "values, one per frequency")
+            elif not (value > 0 and math.isfinite(value)):
+                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+        halves = (np.array_equal(self.r_half, self.r_total / 2)
+                  if isinstance(self.frequency, np.ndarray) else self.r_half == self.r_total / 2)
+        if not halves or self.l_half != self.l_total / 2:
             raise ValidationError("half-segment values must be exactly half the totals")
-
-
-def _require_positive_frequency(f) -> None:
-    if isinstance(f, np.ndarray):
-        if not (np.all(f > 0) and np.isfinite(f).all()):
-            raise ValidationError("frequencies must be finite and positive")
-    elif not (f > 0 and math.isfinite(f)):
-        raise ValidationError(f"frequency must be finite and positive, got {f!r}")
 
 
 def _sqrt(x):
@@ -76,7 +81,11 @@ def skin_depth(f, mat: MaterialParams):
 
     ``f`` is a frequency in Hz or an array of them.
     """
-    _require_positive_frequency(f)
+    if isinstance(f, np.ndarray):
+        if not (np.all(f > 0) and np.isfinite(f).all()):
+            raise ValidationError("frequencies must be finite and positive")
+    elif not (f > 0 and math.isfinite(f)):
+        raise ValidationError(f"frequency must be finite and positive, got {f!r}")
     return _sqrt(mat.rho_cu / (math.pi * f * mat.mu_r * MU_0))
 
 
@@ -159,9 +168,8 @@ def l_tsv(geom: TsvGeometry, mat: MaterialParams) -> float:
     return MU_0 * mat.mu_r * geom.height / (2.0 * math.pi) * bracket
 
 
-def rlgc_at(f: float, geom: TsvGeometry, mat: MaterialParams) -> RlgcElements:
-    """All element values at one frequency, bundled."""
-    _require_positive_frequency(f)
+def rlgc_at(f, geom: TsvGeometry, mat: MaterialParams) -> RlgcElements:
+    """All element values at ``f`` Hz (one frequency or an (N,) array), bundled."""
     r_tot = r_total(f, geom, mat)
     l_tot = l_tsv(geom, mat)
     cap_si, cond_si = c_si_g_si(geom, mat)

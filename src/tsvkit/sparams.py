@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ConversionError, NetworkDegeneracyError, ValidationError
 from .network import ThreePortZ, ZSweep
 from .numerics import condition_number, csv_text, pieces, solve_extended
+from .params import is_finite_real
 
 COND_LIMIT = 1e12
 
@@ -111,24 +112,10 @@ class SSweep:
             raise ValidationError("a sweep needs a nonempty 1-D frequency vector")
         if s.shape != f.shape + (3, 3):
             raise ValidationError(f"s must have shape {f.shape + (3, 3)}, got {s.shape}")
-        if not (self.z0 > 0 and math.isfinite(self.z0)):
-            raise ValidationError(f"z0 must be finite and positive, got {self.z0!r}")
+        if not (is_finite_real(self.z0) and self.z0 > 0):
+            raise ValidationError(f"z0 must be one finite positive number, got {self.z0!r}")
         object.__setattr__(self, "frequency", f)
         object.__setattr__(self, "s", s)
-
-    @classmethod
-    def from_points(cls, points) -> "SSweep":
-        """Stack a sequence of :class:`ThreePortS` sharing one reference impedance."""
-        points = list(points)
-        if not points:
-            raise ValidationError("empty scattering sweep")
-        z0 = points[0].z0
-        for point in points:
-            if point.z0 != z0:
-                raise ValidationError(
-                    f"non-uniform reference impedance in sweep: {point.z0} vs {z0}")
-        return cls(np.array([p.frequency for p in points], dtype=float),
-                   np.array([p.s for p in points], dtype=complex), z0)
 
     def __len__(self) -> int:
         return len(self.frequency)

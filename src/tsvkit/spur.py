@@ -20,15 +20,16 @@ frequency dependence of the substrate transfer.
 
 from __future__ import annotations
 
+import cmath
 import math
 import warnings
 from dataclasses import dataclass
 
 from .errors import (CalibrationWarning, ModelValidityError, NarrowbandWarning,
                      ValidationError)
-from .network import assemble_topology, branch_impedances, nodal_admittance
+from .network import PORT_INDEX, branch_impedances, nodal_admittance
 from .numerics import solve_extended
-from .params import MaterialParams, TsvGeometry
+from .params import MaterialParams, TsvGeometry, _require_positive_fields, is_finite_real
 from .rlgc import rlgc_at
 
 BETA_WARN = 0.5          # narrowband approximation degrades above this
@@ -56,10 +57,7 @@ class OscillatorModel:
     f_osc: float = DEFAULT_F_OSC                  # Hz
 
     def __post_init__(self):
-        if not (self.f_osc > 0 and math.isfinite(self.f_osc)):
-            raise ValidationError(f"f_osc must be finite and positive, got {self.f_osc!r}")
-        if not (self.k_sub > 0 and math.isfinite(self.k_sub)):
-            raise ValidationError(f"k_sub must be finite and positive, got {self.k_sub!r}")
+        _require_positive_fields(self)
 
 
 @dataclass(frozen=True)
@@ -71,16 +69,18 @@ class SpurScenario:
     tsv_transfer: complex         # substrate-port voltage per volt at port 1
 
     def __post_init__(self):
-        if not (self.aggressor_amplitude >= 0 and math.isfinite(self.aggressor_amplitude)):
+        if not (is_finite_real(self.aggressor_amplitude) and self.aggressor_amplitude >= 0):
             raise ValidationError(
                 f"aggressor_amplitude must be finite and >= 0, got {self.aggressor_amplitude!r}")
-        if not (self.aggressor_frequency > 0 and math.isfinite(self.aggressor_frequency)):
+        if not (is_finite_real(self.aggressor_frequency) and self.aggressor_frequency > 0):
             raise ValidationError(
                 f"aggressor_frequency must be finite and positive, "
                 f"got {self.aggressor_frequency!r}")
-        if abs(self.tsv_transfer) > 1.0 + 1e-9:
-            raise ValidationError(
-                f"|tsv_transfer| = {abs(self.tsv_transfer)} exceeds 1: not a passive transfer")
+        h = self.tsv_transfer
+        if isinstance(h, bool) or not isinstance(h, (int, float, complex)) or not cmath.isfinite(h):
+            raise ValidationError(f"tsv_transfer must be a finite number, got {h!r}")
+        if abs(h) > 1.0 + 1e-9:
+            raise ValidationError(f"|tsv_transfer| = {abs(h)} exceeds 1: not a passive transfer")
 
 
 def substrate_transfer(f: float, geom: TsvGeometry, mat: MaterialParams,
@@ -102,7 +102,7 @@ def substrate_transfer(f: float, geom: TsvGeometry, mat: MaterialParams,
             f"substrate_load must be positive, finite or None, got {substrate_load!r}")
     el = rlgc_at(f, geom, mat)
     # float(): a numpy scalar frequency would carry the algebra in slower numpy scalars
-    z_seg, z_lat, z_stack = branch_impedances(float(f), el.r_half, el)
+    z_seg, z_lat, z_stack = branch_impedances(float(f), el)
     z_down = z_stack if substrate_load is None else \
         z_stack * substrate_load / (z_stack + substrate_load)
     y_sub_path = 1.0 / (z_lat + z_down)
@@ -117,8 +117,8 @@ def substrate_transfer_mna(f: float, geom: TsvGeometry, mat: MaterialParams,
                            substrate_load: float | None = None) -> complex:
     """Same transfer by loaded nodal analysis; verification route."""
     el = rlgc_at(f, geom, mat)
-    y, index = nodal_admittance(f, assemble_topology(el))
-    p1, p2, p3 = index["port1"], index["port2"], index["port3"]
+    y = nodal_admittance(f, el, el.r_half)
+    p1, p2, p3 = PORT_INDEX
     y[p3, p3] += 1.0 / termination
     if substrate_load is not None:
         y[p2, p2] += 1.0 / substrate_load

@@ -48,12 +48,6 @@ class Records:
         self.frequencies = frequencies
         self.matrices = matrices
 
-    @classmethod
-    def from_pairs(cls, pairs) -> "Records":
-        pairs = list(pairs)
-        return cls(np.array([f for f, _ in pairs], dtype=float),
-                   np.array([m for _, m in pairs], dtype=complex).reshape(len(pairs), 3, 3))
-
     def __len__(self) -> int:
         return len(self.frequencies)
 
@@ -75,8 +69,7 @@ class TouchstoneDocument:
     def __post_init__(self):
         records = self.records
         if not isinstance(records, Records):
-            records = Records.from_pairs(records)
-            object.__setattr__(self, "records", records)
+            raise ValidationError(f"records must be a Records, got {type(records).__name__}")
         freqs = records.frequencies
         if not len(freqs):
             raise ValidationError("a Touchstone document needs at least one record")
@@ -93,14 +86,13 @@ class TouchstoneDocument:
 def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
     """Write a sweep as Touchstone v1 text to a path or text stream.
 
-    ``sweep`` is an :class:`SSweep` or a sequence of ``ThreePortS`` sharing
-    one reference impedance.  ``comments`` become leading ``!`` lines
+    ``sweep`` is an :class:`SSweep`.  ``comments`` become leading ``!`` lines
     (generator metadata, parameter set).  A sweep the reader would refuse
     (non-finite values, frequencies not strictly increasing) raises
     :class:`ValidationError` before any byte is written.
     """
     if not isinstance(sweep, SSweep):
-        sweep = SSweep.from_points(sweep)
+        raise ValidationError(f"write_s3p needs an SSweep, got {type(sweep).__name__}")
     fmt = fmt.upper()
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")

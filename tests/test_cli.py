@@ -368,6 +368,14 @@ class TestCommandLineErrors:
         assert self.one_error_line(err) and err.startswith("error: height ")
         assert not (tmp_path / "p.s3p").exists()
 
+    def test_element_outside_its_formula_range(self, capsys):
+        # a subnormal height underflows R_dc to zero (and makes L_tsv NaN)
+        code, out, err = run(capsys, "sweep", "--param", "height", "--start", "1e-320",
+                             "--stop", "1e-320", "--steps", "1", "--metric", "l_tsv")
+        assert code == 2
+        assert self.one_error_line(err) and err.startswith("error: r_dc = 0.0 ")
+        assert out == ""
+
     def test_non_numeric_config_setting(self, tmp_path, capsys):
         cfg = tmp_path / "spur.cfg"
         cfg.write_text("f_osc = fast\n")

@@ -1,15 +1,16 @@
 """Three-port assembly, dual-route impedance computation, sweep contracts."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
                     NetworkDegeneracyError, ValidationError)
-from tsvkit.network import (MIN_ELEMENT, Z_CSV_HEADER, assemble_topology,
-                            verify_dual_route, z_matrix_at, z_matrix_mna,
-                            z_sweep, z_sweep_csv)
-from tsvkit.rlgc import r_total, rlgc_at
+from tsvkit.network import (MIN_ELEMENT, Z_CSV_HEADER, verify_dual_route,
+                            z_matrix_at, z_matrix_mna, z_sweep, z_sweep_csv)
+from tsvkit.rlgc import rlgc_at
 
 GEOM = DEFAULT_GEOMETRY
 MAT = DEFAULT_MATERIALS
@@ -39,6 +40,16 @@ class TestGrid:
         with pytest.raises(ValidationError):
             FrequencyGrid(points=())
 
+    @pytest.mark.parametrize("args", [(1e6, 1e9, 2.5), (1e6, 1e9, "5"), (1e6, 1e9, True),
+                                      (1e6, np.inf, 5), (np.nan, 1e9, 5), (1e6, 1e9 + 0j, 5),
+                                      ("1e6", 1e9, 5), (1e9, 1e6, 5), (0.0, 1e9, 5)])
+    def test_constructor_arguments_rejected(self, args):
+        for make in (FrequencyGrid.logarithmic, FrequencyGrid.linear):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")   # no numpy warning on the way
+                with pytest.raises(ValidationError, match="^need"):
+                    make(*args)
+
     def test_linear_spacing(self):
         grid = FrequencyGrid.linear(1e9, 2e9, 11)
         assert len(grid.points) == 11
@@ -47,12 +58,6 @@ class TestGrid:
 
 
 class TestTopology:
-    def test_node_and_branch_count(self):
-        desc = assemble_topology(EL_1GHZ)
-        assert len(desc.nodes) == 4
-        assert desc.reference == "gnd"
-        assert len(desc.branches) == 5
-
     def test_lateral_short_merges_mid_and_substrate(self):
         # enormous lateral admittance shorts the substrate node to the midpoint:
         # Z12 approaches Z13
@@ -67,8 +72,8 @@ class TestTopology:
 
     def test_degenerate_elements_rejected(self):
         for name in ("g_si", "c_si", "c_ox", "c_d"):
-            with pytest.raises(ValidationError):
-                assemble_topology(elements_with(**{name: MIN_ELEMENT / 10}))
+            with pytest.raises(ValidationError, match=name):
+                z_matrix_mna(1e9, elements_with(**{name: MIN_ELEMENT / 10}))
 
 
 class TestClosedForm:
@@ -113,6 +118,8 @@ class TestClosedForm:
             z_matrix_at(0.0, EL_1GHZ)
         with pytest.raises(ValidationError):
             z_matrix_at(-1e9, EL_1GHZ)
+        with pytest.raises(ValidationError, match="one-frequency elements"):
+            z_matrix_at(1e9, rlgc_at(np.array([1e9, 2e9]), GEOM, MAT))
 
 
 class TestDualRoute:
@@ -148,7 +155,7 @@ class TestStackedMna:
 
     def test_matches_single_points_exactly(self):
         f = FrequencyGrid.logarithmic(1e6, 100e9, 2001).points
-        z = z_matrix_mna(f, EL_1GHZ, r_total(f, GEOM, MAT) / 2.0)
+        z = z_matrix_mna(f, rlgc_at(f, GEOM, MAT))
         assert z.shape == (2001, 3, 3)
         rng = np.random.default_rng(11)
         for k in rng.choice(2001, 10, replace=False):
@@ -169,8 +176,16 @@ class TestStackedMna:
 
     def test_rejects_degenerate_resistance_array(self):
         f = np.array([1e8, 1e9])
+        r_total = np.array([2.0, MIN_ELEMENT / 5])
+        el = elements_with(r_total=r_total, r_half=r_total / 2, frequency=f)
         with pytest.raises(ValidationError, match="r_half"):
-            z_matrix_mna(f, EL_1GHZ, np.array([1.0, MIN_ELEMENT / 10]))
+            z_matrix_mna(f, el)
+
+    def test_rejects_frequencies_the_elements_do_not_hold(self):
+        el = rlgc_at(np.array([1e8, 1e9]), GEOM, MAT)
+        for f in (1e9, np.array([1e8, 1e9, 1e10])):
+            with pytest.raises(ValidationError, match="elements hold 2 frequencies, f "):
+                z_matrix_mna(f, el)
 
 
 class TestPassivityPrecursor:

@@ -1,7 +1,9 @@
 """Element formulas against the frozen oracle values plus scaling/monotonicity laws."""
 
 import math
+from dataclasses import fields, replace
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,8 +12,8 @@ from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, MaterialParams,
                     TsvGeometry, ValidationError)
 from tsvkit.constants import EPS_0
 from tsvkit.errors import GeometryOverlapError
-from tsvkit.rlgc import (c_d, c_ox, c_si_g_si, depletion_width, l_tsv, r_ac,
-                         r_dc, r_total, rlgc_at, skin_depth)
+from tsvkit.rlgc import (RlgcElements, c_d, c_ox, c_si_g_si, depletion_width, l_tsv,
+                         r_ac, r_dc, r_total, rlgc_at, skin_depth)
 
 GEOM = DEFAULT_GEOMETRY
 MAT = DEFAULT_MATERIALS
@@ -231,3 +233,26 @@ class TestBundle:
         assert a.r_total < b.r_total
         assert (a.c_ox, a.c_d, a.c_si, a.g_si, a.l_total) == \
                (b.c_ox, b.c_d, b.c_si, b.g_si, b.l_total)
+
+    def test_vector_matches_single_points_bit_for_bit(self):
+        f = np.logspace(6, 11, 2001)
+        el = rlgc_at(f, GEOM, MAT)
+        assert el.r_total.shape == el.r_half.shape == el.frequency.shape == (2001,)
+        lone = [rlgc_at(fk, GEOM, MAT) for fk in f]
+        for field in fields(RlgcElements):
+            points = np.array([getattr(p, field.name) for p in lone])
+            vector = np.broadcast_to(getattr(el, field.name), f.shape)
+            assert vector.tobytes() == points.tobytes(), field.name
+
+    def test_inconsistent_array_record_rejected(self):
+        f = np.array([1e8, 1e9, 1e10])
+        el = rlgc_at(f, GEOM, MAT)
+        negative = el.r_total * np.array([1.0, -1.0, 1.0])
+        with pytest.raises(ValidationError, match="^r_total must be"):
+            replace(el, r_total=negative, r_half=negative / 2)
+        with pytest.raises(ValidationError, match="^frequency must be"):
+            replace(el, frequency=np.array([1e8, 0.0, 1e10]))
+        with pytest.raises(ValidationError, match="one per frequency"):
+            replace(el, frequency=f[:2])
+        with pytest.raises(ValidationError, match="exactly half"):
+            replace(el, r_half=np.nextafter(el.r_half, np.inf))

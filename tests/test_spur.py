@@ -93,11 +93,28 @@ class TestScenario:
         with pytest.raises(ValidationError):
             SpurScenario(aggressor_amplitude=0.1, aggressor_frequency=1e9, tsv_transfer=1.5)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "0.1", 0.1 + 0j, True, None])
+    def test_non_finite_or_non_real_scenario_rejected(self, bad):
+        for field in ("aggressor_amplitude", "aggressor_frequency", "tsv_transfer"):
+            values = dict(aggressor_amplitude=0.1, aggressor_frequency=1e9, tsv_transfer=0.1)
+            values[field] = bad
+            if field == "tsv_transfer" and isinstance(bad, complex):
+                continue   # a complex transfer is the normal case
+            with pytest.raises(ValidationError, match=f"^{field} must be"):
+                SpurScenario(**values)
+
     def test_oscillator_validation(self):
         with pytest.raises(ValidationError):
             OscillatorModel(k_sub=-1.0)
         with pytest.raises(ValidationError):
             OscillatorModel(k_sub=1e9, f_osc=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, "1e9", 1e9 + 0j, True])
+    def test_non_finite_or_non_real_oscillator_rejected(self, bad):
+        with pytest.raises(ValidationError, match="^k_sub must be finite"):
+            OscillatorModel(k_sub=bad)
+        with pytest.raises(ValidationError, match="^f_osc must be finite"):
+            OscillatorModel(k_sub=1e9, f_osc=bad)
 
 
 class TestSpurLevel:

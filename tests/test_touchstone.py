@@ -8,10 +8,10 @@ import pytest
 
 from touchstone_reference import reference_read
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
-                    ThreePortS, TouchstoneError, ValidationError, numerics)
+                    TouchstoneError, ValidationError, numerics)
 from tsvkit.network import z_sweep
 from tsvkit.sparams import SSweep, s_sweep
-from tsvkit.touchstone import TouchstoneDocument, read_s3p, write_s3p
+from tsvkit.touchstone import Records, TouchstoneDocument, read_s3p, write_s3p
 
 
 def model_sweep(n=5, start=1e6, stop=1e10):
@@ -26,13 +26,16 @@ def write_text(sweep, fmt="RI", comments=()):
 
 
 def random_sweep(rng, n=4, z0=50.0):
-    out = []
+    s = np.empty((n, 3, 3), dtype=complex)
     for i in range(n):
         a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
-        s = (a + a.T) / 2
-        s = 0.8 * s / np.linalg.svd(s, compute_uv=False)[0]
-        out.append(ThreePortS(frequency=1e9 * (i + 1), s=s, z0=z0))
-    return out
+        s[i] = (a + a.T) / 2
+        s[i] = 0.8 * s[i] / np.linalg.svd(s[i], compute_uv=False)[0]
+    return SSweep(1e9 * np.arange(1, n + 1), s, z0)
+
+
+def one_record(frequency, s):
+    return SSweep(np.array([frequency]), np.array([s], dtype=complex))
 
 
 class TestWriter:
@@ -42,8 +45,7 @@ class TestWriter:
         assert lines[0] == "# Hz S RI R 50"
 
     def test_zero_matrix_single_record(self):
-        sp = ThreePortS(frequency=1e9, s=np.zeros((3, 3)), z0=50.0)
-        text = write_text([sp])
+        text = write_text(one_record(1e9, np.zeros((3, 3))))
         lines = text.strip().split("\n")
         assert len(lines) == 4  # option line + 3 matrix rows
         first = lines[1].split()
@@ -57,8 +59,7 @@ class TestWriter:
         assert len(data) == 201 * 3
 
     def test_nine_significant_digits(self):
-        sp = ThreePortS(frequency=1.23456789e9, s=np.full((3, 3), 0.123456789 + 0j), z0=50.0)
-        text = write_text([sp])
+        text = write_text(one_record(1.23456789e9, np.full((3, 3), 0.123456789)))
         assert "1.23456789e+09" in text
         assert "1.23456789e-01" in text
 
@@ -78,23 +79,25 @@ class TestWriter:
         text.encode("ascii")
 
     def test_empty_sweep_rejected(self):
-        with pytest.raises(ValidationError):
-            write_s3p([], io.StringIO())
+        with pytest.raises(ValidationError, match="nonempty"):
+            write_s3p(SSweep(np.empty(0), np.empty((0, 3, 3))), io.StringIO())
 
     def test_mixed_z0_rejected(self):
         sweep = model_sweep(n=2)
-        other = ThreePortS(frequency=2e10, s=sweep[0].s, z0=75.0)
-        with pytest.raises(ValidationError):
-            write_s3p(list(sweep) + [other], io.StringIO())
+        with pytest.raises(ValidationError, match="z0"):
+            write_s3p(SSweep(sweep.frequency, sweep.s, np.array([50.0, 75.0])), io.StringIO())
+
+    def test_point_list_rejected(self):
+        with pytest.raises(ValidationError, match="needs an SSweep, got list"):
+            write_s3p(list(model_sweep(n=2)), io.StringIO())
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValidationError):
             write_s3p(model_sweep(n=2), io.StringIO(), fmt="XY")
 
     def test_db_format_refuses_zero_entry(self):
-        sp = ThreePortS(frequency=1e9, s=np.zeros((3, 3)), z0=50.0)
-        with pytest.raises(ValidationError):
-            write_s3p([sp], io.StringIO(), fmt="DB")
+        with pytest.raises(ValidationError, match="zero entry"):
+            write_s3p(one_record(1e9, np.zeros((3, 3))), io.StringIO(), fmt="DB")
 
     @pytest.mark.parametrize("where", ["frequency", "entry"])
     def test_non_finite_value_refused_before_writing(self, where, tmp_path):
@@ -435,25 +438,27 @@ class TestReaderFuzz:
             assert outcome(read_document, variant) == outcome(reference_read, variant)
 
 
+def document(records):
+    return TouchstoneDocument(frequency_unit="Hz", parameter_type="S", value_format="RI",
+                              reference_resistance=50.0, records=records)
+
+
 class TestDocumentInvariants:
     def test_empty_records_rejected(self):
         with pytest.raises(ValidationError):
-            TouchstoneDocument(frequency_unit="Hz", parameter_type="S",
-                               value_format="RI", reference_resistance=50.0,
-                               records=())
+            document(Records(np.empty(0), np.empty((0, 3, 3), dtype=complex)))
 
     def test_decreasing_records_rejected(self):
-        m = np.zeros((3, 3), dtype=complex)
         with pytest.raises(ValidationError):
-            TouchstoneDocument(frequency_unit="Hz", parameter_type="S",
-                               value_format="RI", reference_resistance=50.0,
-                               records=((2e9, m), (1e9, m)))
+            document(Records(np.array([2e9, 1e9]), np.zeros((2, 3, 3), dtype=complex)))
 
     def test_nonfinite_entries_rejected(self):
-        m = np.zeros((3, 3), dtype=complex)
-        bad = m.copy()
-        bad[1, 1] = complex("inf")
+        bad = np.zeros((1, 3, 3), dtype=complex)
+        bad[0, 1, 1] = complex("inf")
         with pytest.raises(ValidationError):
-            TouchstoneDocument(frequency_unit="Hz", parameter_type="S",
-                               value_format="RI", reference_resistance=50.0,
-                               records=((1e9, bad),))
+            document(Records(np.array([1e9]), bad))
+
+    def test_pair_tuple_rejected(self):
+        m = np.zeros((3, 3), dtype=complex)
+        with pytest.raises(ValidationError, match="records must be a Records, got tuple"):
+            document(((1e9, m),))
