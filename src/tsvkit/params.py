@@ -15,9 +15,16 @@ from .numerics import non_ascii_line
 
 
 def is_finite_real(value) -> bool:
-    """Whether ``value`` is a finite int or float (numpy's float64 is one), not a bool."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value))
+    """Whether ``value`` is a finite int or float (numpy's float64 is one), not a bool.
+
+    An int too large for a float is not finite.
+    """
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
 
 
 def _require_positive_fields(obj) -> None:

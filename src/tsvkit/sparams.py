@@ -24,6 +24,11 @@ from .params import is_finite_real
 COND_LIMIT = 1e12
 
 
+def _check_z0(z0) -> None:
+    if not (is_finite_real(z0) and z0 > 0):
+        raise ValidationError(f"z0 must be one finite positive number, got {z0!r}")
+
+
 @dataclass(frozen=True)
 class ThreePortS:
     """Scattering matrix at one frequency, referenced to a real z0 on all ports."""
@@ -36,8 +41,7 @@ class ThreePortS:
         s = np.asarray(self.s, dtype=complex)
         if s.shape != (3, 3):
             raise ValidationError(f"s must be 3x3, got shape {s.shape}")
-        if not (self.z0 > 0 and math.isfinite(self.z0)):
-            raise ValidationError(f"z0 must be finite and positive, got {self.z0!r}")
+        _check_z0(self.z0)
         object.__setattr__(self, "s", s)
 
 
@@ -68,6 +72,7 @@ def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency, name: str,
 
 def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> ThreePortS:
     """Convert one impedance matrix to scattering parameters: S = (Z - z0 I)(Z + z0 I)^-1."""
+    _check_z0(z0)
     eye = np.eye(3)
     s = _guarded_solve(zp.z + z0 * eye, zp.z - z0 * eye, zp.frequency, "(Z + z0 I)")
     return ThreePortS(frequency=zp.frequency, s=s, z0=z0)
@@ -112,8 +117,7 @@ class SSweep:
             raise ValidationError("a sweep needs a nonempty 1-D frequency vector")
         if s.shape != f.shape + (3, 3):
             raise ValidationError(f"s must have shape {f.shape + (3, 3)}, got {s.shape}")
-        if not (is_finite_real(self.z0) and self.z0 > 0):
-            raise ValidationError(f"z0 must be one finite positive number, got {self.z0!r}")
+        _check_z0(self.z0)
         object.__setattr__(self, "frequency", f)
         object.__setattr__(self, "s", s)
 
@@ -180,8 +184,22 @@ def magnitude_db(value: complex) -> float:
 
 
 def max_singular_value(sp):
-    """Largest singular value of S: a float for a point, an (N,) array for a sweep."""
-    sigma = np.linalg.svd(sp.s, compute_uv=False)[..., 0]
+    """Largest singular value of S: a float for a point, an (N,) array for a sweep.
+
+    The square root of the largest eigenvalue of the Hermitian S^H S, which
+    ``eigvalsh`` finds for less than an SVD costs.  A matrix whose largest
+    entry lies outside 1e-150 .. 1e150, where S^H S would lose digits to
+    underflow or overflow, takes the SVD; one with a non-finite entry gives NaN.
+    """
+    s = sp.s
+    big = np.abs(s).max(axis=(-2, -1))
+    fast = (big > 1e-150) & (big < 1e150)
+    slow = np.isfinite(big) & ~fast
+    sigma = np.full(big.shape, np.nan)
+    s_fast = s if fast.all() else s[fast]
+    sigma[fast] = np.sqrt(np.linalg.eigvalsh(s_fast.conj().swapaxes(-1, -2) @ s_fast)[..., -1])
+    if slow.any():
+        sigma[slow] = np.linalg.svd(s[slow], compute_uv=False)[..., 0]
     return float(sigma) if sigma.ndim == 0 else sigma
 
 

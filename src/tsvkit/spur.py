@@ -77,7 +77,7 @@ class SpurScenario:
                 f"aggressor_frequency must be finite and positive, "
                 f"got {self.aggressor_frequency!r}")
         h = self.tsv_transfer
-        if isinstance(h, bool) or not isinstance(h, (int, float, complex)) or not cmath.isfinite(h):
+        if not (is_finite_real(h) or (isinstance(h, complex) and cmath.isfinite(h))):
             raise ValidationError(f"tsv_transfer must be a finite number, got {h!r}")
         if abs(h) > 1.0 + 1e-9:
             raise ValidationError(f"|tsv_transfer| = {abs(h)} exceeds 1: not a passive transfer")

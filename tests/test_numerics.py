@@ -1,14 +1,19 @@
 """Stacked extended-precision solves, condition numbers and the text kernels."""
 
+import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid, NetworkDegeneracyError,
-                    ValidationError, numerics, s_sweep, z_sweep)
+                    ValidationError, numerics, rlgc_at, s_sweep, z_sweep)
+from tsvkit.network import PORT_INDEX, nodal_admittance
 from tsvkit.numerics import (PIECE_ROWS, FieldError, condition_number, csv_text, format_rows,
                              non_ascii_line, parse_fields, pieces, solve_extended)
+
+# a floating-point warning leaked from a numerics path fails its test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def reference_solve(a, b):
@@ -20,20 +25,47 @@ def reference_solve(a, b):
     a = np.asarray(a, dtype=np.clongdouble).copy()
     b = np.asarray(b, dtype=np.clongdouble).copy()
     n = a.shape[0]
-    for k in range(n):
-        piv = k + int(np.argmax(np.abs(a[k:, k])))
-        if piv != k:
-            a[[k, piv]] = a[[piv, k]]
-            b[[k, piv]] = b[[piv, k]]
-        for i in range(k + 1, n):
-            m = a[i, k] / a[k, k]
-            if m != 0:
-                a[i, k:] -= m * a[k, k:]
-                b[i] -= m * b[k]
-    x = np.zeros_like(b)
-    for i in range(n - 1, -1, -1):
-        x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
+    with np.errstate(all="ignore"):
+        for k in range(n):
+            piv = k + int(np.argmax(np.abs(a[k:, k])))
+            if piv != k:
+                a[[k, piv]] = a[[piv, k]]
+                b[[k, piv]] = b[[piv, k]]
+            for i in range(k + 1, n):
+                m = a[i, k] / a[k, k]
+                if m != 0:
+                    a[i, k:] -= m * a[k, k:]
+                    b[i] -= m * b[k]
+        x = np.zeros_like(b)
+        for i in range(n - 1, -1, -1):
+            x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
     return x.astype(np.complex128)
+
+
+def every_row_stack_solve(a, b):
+    """Stacked elimination that updates every row below each pivot under the m != 0 mask.
+
+    Also returns, per pivot step, how many rows have a nonzero multiplier
+    in some member: the rows solve_extended updates.
+    """
+    n = a.shape[-1]
+    w = np.concatenate([a, b], axis=-1, dtype=np.clongdouble)
+    live = []
+    with np.errstate(all="ignore"):
+        for k in range(n - 1):
+            rel = np.abs(w[:, k:, k]).argmax(axis=1)
+            swap = rel.nonzero()[0]
+            piv = k + rel[swap]
+            w[swap, k], w[swap, piv] = w[swap, piv], w[swap, k]
+            m = w[:, k + 1:, k, None] / w[:, k, None, k, None]
+            live.append(int((m != 0).any(axis=(0, 2)).sum()))
+            below = w[:, k + 1:, k + 1:]
+            np.subtract(below, m * w[:, k, None, k + 1:], out=below, where=m != 0)
+        x = np.empty_like(w[:, :, n:])
+        x[:, -1] = w[:, -1, n:] / w[:, -1, None, n - 1]
+        for i in range(n - 2, -1, -1):
+            x[:, i] = (w[:, i, n:] - (w[:, i, None, i + 1:n] @ x[:, i + 1:])[:, 0]) / w[:, i, None, i]
+    return x.astype(np.complex128), live
 
 
 def random_stack(rng, count, n):
@@ -97,6 +129,113 @@ class TestStackedSolve:
         assert err.value.index == 0
 
 
+class TestLoneSolve:
+    """A lone system is eliminated in scalars, with the bits of a stack member."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    @pytest.mark.parametrize("special", ["none", "inf", "nan"])
+    def test_scalar_path_matches_stack_member_and_reference(self, n, special):
+        rng = np.random.default_rng(40 + n)
+        a = random_stack(rng, 120, n)
+        a[::3, 1:, 0] = 0.0                  # zero multipliers at the first pivot
+        a[::3, 0, 0] = 1.0
+        a[::3, 1:, 1:] += np.eye(n - 1)      # the rest stays regular
+        if special != "none":
+            a[rng.random(a.shape) < 0.04] = np.inf if special == "inf" else np.nan
+        b = rng.normal(size=(120, n, 2)) + 1j * rng.normal(size=(120, n, 2))
+        for rhs in (b, b[..., 0]):
+            solved = []
+            for j in range(120):
+                try:
+                    lone = solve_extended(a[j], rhs[j])
+                except NetworkDegeneracyError as err:   # an exact zero pivot, as inf entries give
+                    assert err.index == 0
+                    with pytest.raises(NetworkDegeneracyError):
+                        solve_extended(a[j:j + 1], rhs[j:j + 1])
+                    continue
+                assert lone.shape == rhs[j].shape and lone.dtype == np.complex128
+                ref = reference_solve(a[j], rhs[j].reshape(n, -1)).reshape(lone.shape)
+                assert lone.tobytes() == ref.tobytes()
+                solved.append((j, lone))
+            assert len(solved) > 100
+            members = [j for j, _ in solved]
+            x = solve_extended(a[members], rhs[members])
+            assert all(lone.tobytes() == x[i].tobytes() for i, (_, lone) in enumerate(solved))
+
+    def test_signed_zeros(self):
+        # a back-substitution sum starts from +0, as matmul's does: -0 - (+0) stays -0
+        a = np.array([[1.0, -1.0, 2.0], [0.0, -1.0, 1.0], [0.0, 0.0, 1.0]], dtype=complex)
+        zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
+        b = np.array(list(itertools.product(zeros, repeat=3)))
+        x = solve_extended(np.broadcast_to(a, (len(b), 3, 3)), b)
+        for j in range(len(b)):
+            lone = solve_extended(a, b[j])
+            assert lone.tobytes() == x[j].tobytes()
+            assert lone.tobytes() == reference_solve(a, b[j][:, None])[:, 0].tobytes()
+
+    def test_nan_pivot_is_taken_first(self):
+        # argmax takes the first NaN as the largest magnitude, and so does the scalar path
+        a = np.array([[1.0, 2.0, 0.0], [np.nan, 1.0, 1.0], [5.0, np.nan, 1.0]], dtype=complex)
+        b = np.array([1.0, 2.0, 3.0])
+        assert solve_extended(a, b).tobytes() == solve_extended(a[None], b[None])[0].tobytes()
+
+    def test_singular_lone_system_has_index_zero(self):
+        a = np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 1.0, 1.0]], dtype=complex)
+        with pytest.raises(NetworkDegeneracyError, match="singular") as err:
+            solve_extended(a, np.ones(3))
+        assert err.value.index == 0
+        with pytest.raises(NetworkDegeneracyError) as stacked:
+            solve_extended(a[None], np.ones((1, 3)))
+        assert stacked.value.index == 0
+
+
+class TestRowSkipping:
+    """Rows whose multiplier is zero in every member are skipped, with the same bits."""
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_rows_dead_in_all_or_some_members(self, n):
+        rng = np.random.default_rng(60 + n)
+        a = random_stack(rng, 200, n)
+        a[:, 0, 0] = 1e9                               # row 0 is every member's first pivot
+        a[:, n - 1, 0] = 0.0                           # a zero multiplier in every member
+        a[:100, 1, 0] = 0.0                            # a zero multiplier in half of them,
+        a[:100, 0, n - 1] = np.inf                     # which must not add 0 * inf to row 1
+        a[:, range(1, n), range(1, n)] += 1.0          # the rest stays regular
+        b = rng.normal(size=(200, n, 3)) + 1j * rng.normal(size=(200, n, 3))
+        expected, live = every_row_stack_solve(a, b)
+        assert live[0] == n - 2
+        assert solve_extended(a, b).tobytes() == expected.tobytes()
+
+    def test_dead_row_between_live_runs(self):
+        rng = np.random.default_rng(70)
+        a = random_stack(rng, 50, 5)
+        a[:, 0, 0] = 1e9                               # row 0 is every member's first pivot
+        a[:, 2, 0] = 0.0                               # live rows 1, 3 and 4 around a dead row 2
+        a[:, [1, 3, 4], 0] = 1.0
+        b = rng.normal(size=(50, 5)) + 0j
+        expected, live = every_row_stack_solve(a, b[..., None])
+        assert live[0] == 3
+        assert solve_extended(a, b).tobytes() == expected[..., 0].tobytes()
+
+    def test_nodal_stacks_of_seeded_designs(self):
+        f = FrequencyGrid.logarithmic(1e6, 100e9, 2001).points
+        rhs = np.zeros((5, 3))
+        rhs[PORT_INDEX, range(3)] = 1.0
+        for seed in range(20):
+            scale = 1.15 ** np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+            geom = replace(DEFAULT_GEOMETRY, height=DEFAULT_GEOMETRY.height * scale[0],
+                           radius=DEFAULT_GEOMETRY.radius * scale[1],
+                           pitch=DEFAULT_GEOMETRY.pitch * scale[2])
+            mat = replace(DEFAULT_MATERIALS, sigma_si=DEFAULT_MATERIALS.sigma_si * scale[3])
+            elements = rlgc_at(f, geom, mat)
+            y = nodal_admittance(f, elements, elements.r_half)
+            b = np.broadcast_to(rhs, y.shape[:-1] + (3,))
+            expected, live = every_row_stack_solve(y, b)
+            assert live == [1, 2, 1, 1]
+            for piece in pieces(len(f)):
+                assert solve_extended(y[piece], b[piece]).tobytes() == expected[piece].tobytes()
+
+
 class TestConditionNumber:
     def test_float_for_one_matrix_array_for_a_stack(self):
         rng = np.random.default_rng(3)
@@ -106,6 +245,26 @@ class TestConditionNumber:
         for j in range(6):
             lone = condition_number(a[j])
             assert type(lone) is float and lone == cond[j]
+
+    def test_equals_numpy_cond(self):
+        rng = np.random.default_rng(4)
+        a = random_stack(rng, 300, 3)
+        a[5] = 0.0
+        a[6, 2] = a[6, 0]                                # singular
+        a[7, 1, 1] = np.inf
+        a[8] = np.inf
+        a[9, 0, 0] = 1e-300
+        cond = condition_number(a)
+        assert cond.tobytes() == np.linalg.cond(a).tobytes()
+        for j in range(10):
+            lone = condition_number(a[j])
+            assert type(lone) is float and lone == np.linalg.cond(a[j])
+        nan = a[:8].copy()
+        nan[3, 1, 2] = np.nan
+        nan_cond = condition_number(nan)
+        keep = np.arange(8) != 3
+        assert nan_cond[3] == np.inf
+        assert nan_cond[keep].tobytes() == np.linalg.cond(nan[keep]).tobytes()
 
     def test_singular_and_non_finite_members_are_infinite(self):
         a = np.stack([np.eye(3), np.zeros((3, 3)), np.eye(3), np.eye(3)]).astype(complex)

@@ -36,6 +36,18 @@ class TestMaterials:
                            n_a=1.2e21, n_i=1.45e16, sigma_si=8.33, temperature=300.0)
 
 
+class TestHugeInts:
+    """An int too large for a float is not a finite real number."""
+
+    def test_geometry(self):
+        with pytest.raises(ValidationError, match="^height must be finite"):
+            replace(DEFAULT_GEOMETRY, height=10 ** 400)
+
+    def test_materials(self):
+        with pytest.raises(ValidationError, match="^temperature must be finite"):
+            replace(DEFAULT_MATERIALS, temperature=-10 ** 400)
+
+
 class TestGeometry:
     def test_defaults_valid(self):
         assert DEFAULT_GEOMETRY.height == 50e-6

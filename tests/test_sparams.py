@@ -14,6 +14,9 @@ from tsvkit.rlgc import rlgc_at
 from tsvkit.sparams import (magnitude_db, max_singular_value, modal_s, s_sweep,
                             s_sweep_csv, s_to_z, z_to_s)
 
+# a floating-point warning leaked from a numerics path fails its test
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GEOM = DEFAULT_GEOMETRY
 MAT = DEFAULT_MATERIALS
 
@@ -65,6 +68,24 @@ class TestConversionBasics:
         assert err.value.condition_number is None or err.value.condition_number > 1e12
 
 
+class TestReferenceImpedance:
+    """z0 is one finite positive real number, checked before any solve."""
+
+    @pytest.mark.parametrize("z0", ["50", np.array([50.0, 75.0]), True],
+                             ids=["str", "array", "bool"])
+    def test_three_port_s_refuses(self, z0):
+        with pytest.raises(ValidationError, match="^z0 must be"):
+            ThreePortS(frequency=1e9, s=np.zeros((3, 3)), z0=z0)
+
+    @pytest.mark.parametrize("z0", ["50", np.array([50.0, 75.0]), True, -50.0, math.nan],
+                             ids=["str", "array", "bool", "negative", "nan"])
+    def test_z_to_s_refuses_before_solving(self, z0):
+        # Z = 50 I makes Z + z0 I singular at z0 = -50: a solve would refuse that
+        zp = ThreePortZ(frequency=1e9, z=50.0 * np.eye(3))
+        with pytest.raises(ValidationError, match="^z0 must be"):
+            z_to_s(zp, z0=z0)
+
+
 class TestRoundTrip:
     def test_model_sweep_roundtrip(self):
         for zp in z_sweep(FrequencyGrid.default(), GEOM, MAT):
@@ -96,6 +117,59 @@ class TestSweepProperties:
     def test_passivity_across_grid(self):
         for sp in s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT)):
             assert max_singular_value(sp) <= 1.0 + 1e-9
+
+
+def contraction_with_equal_top_pair(rng, sigma, third):
+    """U diag(sigma, sigma, third) V^H for random unitary U and V."""
+    u, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    v, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return u @ np.diag([sigma, sigma, third]) @ v.conj().T
+
+
+class TestMaxSingularValue:
+    """sqrt(lambda_max(S^H S)) against the SVD."""
+
+    def check(self, s):
+        sigma = max_singular_value(SSweep(np.arange(1.0, len(s) + 1), s))
+        ref_sigma = np.linalg.svd(s, compute_uv=False)[:, 0]
+        assert np.abs(sigma - ref_sigma).max() <= 1e-14 * ref_sigma.max()
+        assert (np.abs(sigma - ref_sigma) <= 1e-14 * ref_sigma).all()
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(11)
+        s = rng.normal(size=(500, 3, 3)) + 1j * rng.normal(size=(500, 3, 3))
+        s *= 10.0 ** rng.uniform(-200, 200, size=(500, 1, 1))
+        self.check(s)
+        self.check(np.stack([random_passive_symmetric(rng) for _ in range(200)]))
+
+    def test_contractions_with_equal_top_singular_values(self):
+        rng = np.random.default_rng(12)
+        s = np.stack([contraction_with_equal_top_pair(rng, sigma, third)
+                      for sigma, third in zip(rng.uniform(0.5, 1.0, 300),
+                                              rng.uniform(0.0, 0.5, 300))])
+        self.check(s)
+        self.check(np.stack([np.eye(3), -np.eye(3), np.diag([1.0, 1.0, 0.0])]).astype(complex))
+
+    def test_model_sweep(self):
+        sweep = s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT))
+        self.check(sweep.s)
+        for k in (0, 100, 200):
+            assert max_singular_value(sweep[k]) == max_singular_value(sweep)[k]
+
+    def test_float_for_a_point_zero_for_zero(self):
+        sigma = max_singular_value(ThreePortS(frequency=1e9, s=np.diag([0.5, 0.25j, 0.0])))
+        assert type(sigma) is float and sigma == pytest.approx(0.5, rel=1e-15)
+        assert max_singular_value(ThreePortS(frequency=1e9, s=np.zeros((3, 3)))) == 0.0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_entry_gives_nan(self, bad):
+        s = np.diag([0.5, 0.5, 0.5]).astype(complex)
+        s[1, 2] = bad
+        assert math.isnan(max_singular_value(ThreePortS(frequency=1e9, s=s)))
+        stack = np.stack([0.5 * np.eye(3), s, 0.25 * np.eye(3), s]).astype(complex)
+        sigma = max_singular_value(SSweep(np.arange(1.0, 5.0), stack))
+        assert np.isnan(sigma[[1, 3]]).all()
+        assert sigma[[0, 2]].tolist() == [0.5, 0.25]
 
 
 class TestCouplingShape:

@@ -103,6 +103,14 @@ class TestScenario:
             with pytest.raises(ValidationError, match=f"^{field} must be"):
                 SpurScenario(**values)
 
+    @pytest.mark.parametrize("field", ["aggressor_amplitude", "aggressor_frequency",
+                                       "tsv_transfer"])
+    def test_huge_int_scenario_rejected(self, field):
+        values = dict(aggressor_amplitude=0.1, aggressor_frequency=1e9, tsv_transfer=0.1)
+        values[field] = 10 ** 400
+        with pytest.raises(ValidationError, match=f"^{field} must be"):
+            SpurScenario(**values)
+
     def test_oscillator_validation(self):
         with pytest.raises(ValidationError):
             OscillatorModel(k_sub=-1.0)
@@ -115,6 +123,12 @@ class TestScenario:
             OscillatorModel(k_sub=bad)
         with pytest.raises(ValidationError, match="^f_osc must be finite"):
             OscillatorModel(k_sub=1e9, f_osc=bad)
+
+    def test_huge_int_oscillator_rejected(self):
+        with pytest.raises(ValidationError, match="^k_sub must be finite"):
+            OscillatorModel(k_sub=10 ** 400)
+        with pytest.raises(ValidationError, match="^f_osc must be finite"):
+            OscillatorModel(k_sub=1e9, f_osc=10 ** 400)
 
 
 class TestSpurLevel:
