@@ -8,7 +8,6 @@ every subcommand validates its full configuration before writing anything.
 from __future__ import annotations
 
 import argparse
-import functools
 import io
 import json
 import sys
@@ -420,15 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of :func:`main`, built once per process: parsing leaves it unchanged."""
-    return build_parser()
-
-
 def main(argv=None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except TsvKitError as err:
         print(f"error: {err}", file=sys.stderr)

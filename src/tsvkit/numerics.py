@@ -10,12 +10,10 @@ any public dtype: inputs and outputs stay complex128.
 A solve and a condition number take one matrix or a stack of them over the
 frequency axis.  A stack is eliminated one pivot column at a time across
 all its members, each member with the pivots and row updates it would get
-alone, so the two give the same bits.  A row whose multiplier is zero in
-every member is left alone, as the zero multipliers would leave it; in the
-nodal stacks that is most rows.  A lone system is eliminated in clongdouble
-scalars by the same rule, which costs less than array operations on one
-member and rounds the same.  Callers pass stacks of at most PIECE_ROWS
-frequencies (see :func:`pieces`), which bounds the memory of the
+alone, so the two give the same bits.  In a stack, a row whose multiplier
+is zero in every member is left alone, as the zero multipliers would leave
+it; in the nodal stacks that is most rows.  Callers pass stacks of at most
+PIECE_ROWS frequencies (see :func:`pieces`), which bounds the memory of the
 extended-precision temporaries.
 
 Text tables (:func:`format_rows`) hold each field exactly as C's ``%.Ne``
@@ -79,115 +77,58 @@ def solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     # [a | b] in one array: each row swap and row update covers both
     w = np.concatenate([np.asarray(a), np.expand_dims(b, -1) if vector else np.asarray(b)],
                        axis=-1, dtype=np.clongdouble)
+    w = w.reshape(-1, n, w.shape[-1])
     with np.errstate(all="ignore"):
-        if w.ndim == 2:
-            x = _eliminate_lone(w, n)
-        else:
-            x = _eliminate_stack(w.reshape(-1, n, w.shape[-1]), n)
+        for k in range(n - 1):
+            rel = np.abs(w[:, k:, k]).argmax(axis=1)   # the pivot row is k + rel
+            swap = rel.nonzero()[0]
+            if swap.size:
+                piv = k + rel[swap]
+                w[swap, k], w[swap, piv] = w[swap, piv], w[swap, k]
+            m = w[:, k + 1:, k, None] / w[:, k, None, k, None]
+            nonzero = m != 0
+            # A zero multiplier leaves its row untouched, as in a lone solve.  A
+            # stack updates only the runs of rows below the pivot with a nonzero
+            # multiplier in some member, masked (slower than unmasked) only where
+            # some are zero; one system costs less to update whole than to sort.
+            if len(w) == 1:
+                below = w[:, k + 1:, k + 1:]
+                np.subtract(below, m * w[:, k, None, k + 1:], out=below, where=nonzero)
+                continue
+            start = 0
+            for live, run in itertools.groupby(nonzero.any(axis=(0, 2)).tolist()):
+                stop = start + len(list(run))
+                if live:
+                    rows = w[:, k + 1 + start:k + 1 + stop, k + 1:]
+                    mask = nonzero[:, start:stop]
+                    np.subtract(rows, m[:, start:stop] * w[:, k, None, k + 1:], out=rows,
+                                where=True if mask.all() else mask)
+                start = stop
+        pivots = w.diagonal(axis1=1, axis2=2)[:, :n]
+        if not pivots.all():
+            raise NetworkDegeneracyError("singular matrix in linear solve",
+                                         index=int((pivots == 0).any(axis=1).argmax()))
+        x = np.empty_like(w[:, :, n:])
+        x[:, -1] = w[:, -1, n:] / pivots[:, -1, None]
+        for i in range(n - 2, -1, -1):
+            x[:, i] = ((w[:, i, n:] - (w[:, i, None, i + 1:n] @ x[:, i + 1:])[:, 0])
+                       / pivots[:, i, None])
     return x.astype(np.complex128).reshape(np.shape(b))
-
-
-_ZERO = np.clongdouble(0)
-
-
-def _eliminate_lone(w: np.ndarray, n: int) -> np.ndarray:
-    """The solution columns of one [a | b], eliminated in clongdouble scalars.
-
-    The rule of :func:`_eliminate_stack` for one member: the first largest
-    |a_ik| (a NaN counting as largest, as ``argmax`` has it) is the pivot,
-    rows are updated in the same order, a zero multiplier leaves its row
-    untouched, and each back-substitution sum starts from zero and adds the
-    products in order, as ``matmul`` does.  Scalar and array arithmetic
-    round alike, so the bits are those of a stack member.
-    """
-    rows = w.tolist()   # clongdouble scalars
-    for k in range(n - 1):
-        piv, big = k, abs(rows[k][k])
-        for i in range(k + 1, n):
-            mag = abs(rows[i][k])
-            if mag > big or (mag != mag and big == big):
-                piv, big = i, mag
-        rows[k], rows[piv] = rows[piv], rows[k]
-        top = rows[k]
-        for row in rows[k + 1:]:
-            m = row[k] / top[k]
-            if m != 0:
-                row[k + 1:] = [v - m * t for v, t in zip(row[k + 1:], top[k + 1:])]
-    if not all(rows[i][i] for i in range(n)):
-        raise NetworkDegeneracyError("singular matrix in linear solve", index=0)
-    x = [None] * n
-    for i in range(n - 1, -1, -1):
-        row = rows[i]
-        rhs = row[n:]
-        if i < n - 1:
-            sums = [_ZERO] * len(rhs)
-            for j in range(i + 1, n):
-                sums = [acc + row[j] * v for acc, v in zip(sums, x[j])]
-            rhs = [v - acc for v, acc in zip(rhs, sums)]
-        x[i] = [v / row[i] for v in rhs]
-    return np.array(x, dtype=np.clongdouble)
-
-
-def _eliminate_stack(w: np.ndarray, n: int) -> np.ndarray:
-    """The solution columns of a stack (N, n, n + r) of [a | b], eliminated together.
-
-    At each pivot step only the rows with a nonzero multiplier in some
-    member are updated; a zero multiplier leaves its row untouched, as in a
-    lone solve.
-    """
-    for k in range(n - 1):
-        rel = np.abs(w[:, k:, k]).argmax(axis=1)   # the pivot row is k + rel
-        swap = rel.nonzero()[0]
-        if swap.size:
-            piv = k + rel[swap]
-            w[swap, k], w[swap, piv] = w[swap, piv], w[swap, k]
-        m = w[:, k + 1:, k, None] / w[:, k, None, k, None]
-        nonzero = m != 0
-        # Update each run of rows below the pivot with a nonzero multiplier in
-        # some member; the mask (slower than none) only where some are zero.
-        start = 0
-        for live, run in itertools.groupby(nonzero.any(axis=(0, 2)).tolist()):
-            stop = start + len(list(run))
-            if live:
-                rows = w[:, k + 1 + start:k + 1 + stop, k + 1:]
-                mask = nonzero[:, start:stop]
-                np.subtract(rows, m[:, start:stop] * w[:, k, None, k + 1:], out=rows,
-                            where=True if mask.all() else mask)
-            start = stop
-    pivots = w.diagonal(axis1=1, axis2=2)[:, :n]
-    if not pivots.all():
-        raise NetworkDegeneracyError("singular matrix in linear solve",
-                                     index=int((pivots == 0).any(axis=1).argmax()))
-    x = np.empty_like(w[:, :, n:])
-    x[:, -1] = w[:, -1, n:] / pivots[:, -1, None]
-    for i in range(n - 2, -1, -1):
-        x[:, i] = ((w[:, i, n:] - (w[:, i, None, i + 1:n] @ x[:, i + 1:])[:, 0])
-                   / pivots[:, i, None])
-    return x
 
 
 def condition_number(a: np.ndarray):
     """2-norm condition number: a float for one matrix, an (N,) array for a stack.
 
-    +inf where a matrix is singular or has non-finite entries.  The ratio of
-    the extreme singular values with ``np.linalg.cond``'s rule that a NaN
-    ratio is +inf unless the matrix holds a NaN, so the same bits as
-    ``np.linalg.cond`` without its argument checks.
+    +inf where a matrix is singular or has non-finite entries.
     """
     a = np.asarray(a, dtype=np.complex128)
     try:
-        s = np.linalg.svd(a, compute_uv=False)
+        cond = np.linalg.cond(a)
     except np.linalg.LinAlgError:   # an SVD did not converge, as it does on NaN entries
         cond = np.full(a.shape[:-2], np.inf)
         ok = ~np.isnan(a).any(axis=(-2, -1))
         if ok.any() and not ok.all():
             cond[ok] = condition_number(a[ok])
-    else:
-        with np.errstate(all="ignore"):
-            cond = s[..., 0] / s[..., -1]
-        nan = np.isnan(cond)
-        if nan.any():
-            cond = np.where(nan & ~np.isnan(a).any(axis=(-2, -1)), np.inf, cond)
     return float(cond) if cond.ndim == 0 else cond
 
 

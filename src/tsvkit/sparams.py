@@ -187,19 +187,21 @@ def max_singular_value(sp):
     """Largest singular value of S: a float for a point, an (N,) array for a sweep.
 
     The square root of the largest eigenvalue of the Hermitian S^H S, which
-    ``eigvalsh`` finds for less than an SVD costs.  A matrix whose largest
-    entry lies outside 1e-150 .. 1e150, where S^H S would lose digits to
-    underflow or overflow, takes the SVD; one with a non-finite entry gives NaN.
+    ``eigvalsh`` finds for less than an SVD costs.  Each matrix is first
+    scaled by a power of two, which is exact, to a largest entry in
+    [1/2, 1), so S^H S neither overflows nor underflows; a matrix with a
+    non-finite entry gives NaN.
     """
     s = sp.s
     big = np.abs(s).max(axis=(-2, -1))
-    fast = (big > 1e-150) & (big < 1e150)
-    slow = np.isfinite(big) & ~fast
-    sigma = np.full(big.shape, np.nan)
-    s_fast = s if fast.all() else s[fast]
-    sigma[fast] = np.sqrt(np.linalg.eigvalsh(s_fast.conj().swapaxes(-1, -2) @ s_fast)[..., -1])
-    if slow.any():
-        sigma[slow] = np.linalg.svd(s[slow], compute_uv=False)[..., 0]
+    finite = np.isfinite(big)
+    e = np.frexp(np.where(finite, big, 0.0))[1]
+    scale = np.expand_dims(-e, (-2, -1))
+    t = np.empty_like(s)
+    t.real = np.ldexp(np.where(finite[..., None, None], s.real, 0.0), scale)
+    t.imag = np.ldexp(np.where(finite[..., None, None], s.imag, 0.0), scale)
+    top = np.linalg.eigvalsh(t.conj().swapaxes(-1, -2) @ t)[..., -1]
+    sigma = np.where(finite, np.ldexp(np.sqrt(top), e), np.nan)
     return float(sigma) if sigma.ndim == 0 else sigma
 
 

@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 import reference_values as ref
-from tsvkit import DEFAULT_GEOMETRY, DEFAULT_MATERIALS, cli
+from tsvkit import DEFAULT_GEOMETRY, DEFAULT_MATERIALS
 from tsvkit.cli import main
 from tsvkit.network import z_matrix_mna
 from tsvkit.rlgc import rlgc_at
@@ -433,19 +433,6 @@ class TestCommandLineErrors:
         assert code == 2
         assert self.one_error_line(err) and "unknown key 'carrier_power_db'" in err
         assert out == ""
-
-    def test_parser_is_built_once_and_keeps_no_state(self, capsys, monkeypatch):
-        _, first, _ = run(capsys, "spur", "--mode", "amplitude", "--json")
-        built = []
-        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1))
-        code, custom, _ = run(capsys, "spur", "--mode", "amplitude", "--json",
-                              "--cal-point", "0.1:1e9:-30.0", "--steps", "3")
-        assert code == 0 and custom != first
-        code, again, _ = run(capsys, "spur", "--mode", "amplitude", "--json")
-        assert code == 0 and again == first
-        code, _, err = run(capsys, "spur", "--mode", "sideways")
-        assert code == 2 and "invalid choice" in err
-        assert built == []
 
     @pytest.mark.parametrize("flag", ["--help", "--version"])
     def test_help_and_version_exit_zero(self, flag, capsys):

@@ -142,6 +142,16 @@ class TestMaxSingularValue:
         self.check(s)
         self.check(np.stack([random_passive_symmetric(rng) for _ in range(200)]))
 
+    def test_extreme_magnitudes(self):
+        # the power-of-two scaling keeps S^H S finite and normal at every finite magnitude
+        rng = np.random.default_rng(13)
+        s = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+        s /= np.abs(s).max(axis=(1, 2), keepdims=True)
+        s *= np.array([1e-310, 1e-200, 1e-160, 1e160, 1e200, 1e300])[:, None, None]
+        self.check(s)
+        tiny = max_singular_value(ThreePortS(frequency=1e9, s=np.diag([5e-324, 0.0, 0.0])))
+        assert tiny == 5e-324
+
     def test_contractions_with_equal_top_singular_values(self):
         rng = np.random.default_rng(12)
         s = np.stack([contraction_with_equal_top_pair(rng, sigma, third)
