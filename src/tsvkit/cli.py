@@ -354,16 +354,7 @@ def cmd_validate(args) -> int:
     return 0 if passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="tsvkit",
-        description="Signal-ground TSV pair: RLGC extraction, three-port "
-                    "S-parameters, Touchstone export and substrate-coupled "
-                    "oscillator spur estimation.")
-    parser.add_argument("--version", action="version", version=f"tsvkit {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("extract", help="element values, S-parameter sweep, Touchstone + CSV")
+def _extract_flags(p):
     _add_param_flags(p)
     _add_grid_flags(p)
     p.add_argument("--z0", type=float, default=None, help="reference impedance, ohm (default 50)")
@@ -372,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default="tsv_pair_sparams.csv")
     p.add_argument("--z-csv", default=None, help="also export the Z sweep as CSV")
     p.add_argument("--full-s", action="store_true", help="include all Re/Im S entries in the CSV")
-    p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("sweep", help="sweep one geometry/material parameter")
+
+def _sweep_flags(p):
     _add_param_flags(p)
     p.add_argument("--param", action="append", required=True, choices=GEOMETRY_KEYS + MATERIAL_KEYS)
     p.add_argument("--start", type=float, required=True)
@@ -385,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frequency for the S-parameter metrics (default 10 GHz)")
     p.add_argument("--z0", type=float, default=None)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sweep)
 
-    p = sub.add_parser("spur", help="sideband spur sweeps (amplitude or frequency mode)")
+
+def _spur_flags(p):
     _add_param_flags(p)
     p.add_argument("--mode", choices=("amplitude", "frequency"), required=True)
     p.add_argument("--start", type=float, default=None,
@@ -409,19 +400,50 @@ def build_parser() -> argparse.ArgumentParser:
                         f"(default {REPLICA_SUBSTRATE_LOAD:g})")
     p.add_argument("--exact-bessel", action="store_true")
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_spur)
 
-    p = sub.add_parser("validate", help="run the built-in self-checks")
+
+def _validate_flags(p):
     _add_param_flags(p)
     _add_grid_flags(p)
     p.add_argument("--z0", type=float, default=None)
-    p.set_defaults(func=cmd_validate)
+
+
+# name: (help, command, flag adder), in the order `tsvkit --help` lists them
+SUBCOMMANDS = {
+    "extract": ("element values, S-parameter sweep, Touchstone + CSV", cmd_extract, _extract_flags),
+    "sweep": ("sweep one geometry/material parameter", cmd_sweep, _sweep_flags),
+    "spur": ("sideband spur sweeps (amplitude or frequency mode)", cmd_spur, _spur_flags),
+    "validate": ("run the built-in self-checks", cmd_validate, _validate_flags),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser with every subcommand; only ``command``'s flags if one is named.
+
+    A command line parses the same either way, as the other subcommands'
+    flags are never read; they cost most of the build.
+    """
+    parser = _Parser(
+        prog="tsvkit",
+        description="Signal-ground TSV pair: RLGC extraction, three-port "
+                    "S-parameters, Touchstone export and substrate-coupled "
+                    "oscillator spur estimation.")
+    parser.add_argument("--version", action="version", version=f"tsvkit {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, func, add_flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the subcommand is the first word that is not an option: `tsvkit` has no option with a value
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         return args.func(args)
     except TsvKitError as err:
         print(f"error: {err}", file=sys.stderr)

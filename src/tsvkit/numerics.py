@@ -14,7 +14,10 @@ alone, so the two give the same bits.  In a stack, a row whose multiplier
 is zero in every member is left alone, as the zero multipliers would leave
 it; in the nodal stacks that is most rows.  Callers pass stacks of at most
 PIECE_ROWS frequencies (see :func:`pieces`), which bounds the memory of the
-extended-precision temporaries.
+extended-precision temporaries.  A condition number comes from an SVD; for
+a stack of 3x3 matrices, :func:`condition_bound` gives an upper bound on
+each from the adjugate and the determinant, with their rounding errors,
+for a few array operations, so that only members it cannot clear need one.
 
 Text tables (:func:`format_rows`) hold each field exactly as C's ``%.Ne``
 writes it: the binary value correctly rounded to N + 1 significant digits,
@@ -117,19 +120,92 @@ def solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def condition_number(a: np.ndarray):
-    """2-norm condition number: a float for one matrix, an (N,) array for a stack.
+    """2-norm condition number by SVD: a float for one matrix, an (N,) array for a stack.
 
-    +inf where a matrix is singular or has non-finite entries.
+    +inf where a matrix is singular or has a non-finite entry; the latter
+    never reach LAPACK, which would print to stdout about them.
     """
     a = np.asarray(a, dtype=np.complex128)
-    try:
-        cond = np.linalg.cond(a)
-    except np.linalg.LinAlgError:   # an SVD did not converge, as it does on NaN entries
-        cond = np.full(a.shape[:-2], np.inf)
-        ok = ~np.isnan(a).any(axis=(-2, -1))
-        if ok.any() and not ok.all():
-            cond[ok] = condition_number(a[ok])
-    return float(cond) if cond.ndim == 0 else cond
+    if a.ndim == 2:
+        return float(np.linalg.cond(a)) if np.isfinite(a).all() else np.inf
+    cond = np.full(a.shape[:-2], np.inf)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.any():
+        cond[finite] = np.linalg.cond(a[finite])
+    return cond
+
+
+# Cofactor (i, j) of a 3x3 matrix t is t[i+1, j+1] t[i+2, j+2] - t[i+1, j+2] t[i+2, j+1],
+# indices mod 3: the flat places of those four factors for each of the nine (i, j).
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+_COFACTOR_TERMS = np.stack([(3 * rows[:, None] + cols).ravel() for rows, cols in
+                            ((_NEXT, _NEXT), (_LAST, _LAST), (_NEXT, _LAST), (_LAST, _NEXT))])
+_GAMMA = 2.0 ** -48   # 32 u, with u = 2**-53 the unit roundoff of a double
+_TINY = 2.0 ** -600   # a scaled |det| below this means a condition number above 2**298
+
+
+def condition_bound(a: np.ndarray) -> np.ndarray:
+    """An upper bound on the 2-norm condition number of each member of an (N, 3, 3) stack.
+
+    +inf where the bound cannot vouch: a singular member, one with a
+    non-finite entry, or one too ill-conditioned for its error terms (the
+    bound vouches for few members above 1e13).  A finite bound is never
+    below the exact condition number, so a member it clears under a limit
+    needs no SVD.  It costs a few array operations over the stack.
+
+    Derivation.  k(A) = ||A||_2 ||A^-1||_2 <= ||A||_F ||A^-1||_F, and
+    A^-1 = adj(A) / det A with adj(A) the transposed cofactors c_ij and
+    det A = sum_j a_0j c_0j.  Each member is first scaled by 2**-e, exactly,
+    so that its largest entry has a modulus in [1/2, 1): k is unchanged, no
+    product overflows, and products lose no bits to underflow that matter
+    (below).  A cofactor is c = x1 y1 - x2 y2; let m = |x1||y1| + |x2||y2|.
+    A rounded complex product is within sqrt(2) gamma_2 < 3u |x||y| of the
+    exact one (Higham, *Accuracy and Stability of Numerical Algorithms*,
+    2nd ed., Lemma 3.5; with an FMA it is within 2u), and the subtraction
+    rounds once more, so the computed cofactor is within 5u m of c.  The
+    same steps put the computed det within 11u S of the exact one, with
+    S = sum_j |a_0j| m_0j.  Hence
+
+        ||adj||_F <= ||adj computed||_F + gamma sum m,
+        |det| >= |det computed| - gamma S,
+
+    with gamma = 32u, and the bound is
+
+        (1 + gamma) ||A||_F (||adj computed||_F + gamma sum m) / (|det computed| - gamma S),
+
+    finite only where the denominator is positive.  gamma covers the 11u
+    and 5u above with room for the rounding of m and S, and the final
+    (1 + gamma) the rounding of the norms, the difference, the product and
+    the quotient (about 20u together).  The largest entry is at least 1/2,
+    so k >= 2**-1.5 |det|**-0.5; a member whose computed |det| is below
+    2**-600 (k above 2**298) gets +inf, which makes the absolute errors of
+    underflow, a few 2**-1074, negligible next to the determinant, the
+    adjugate and the smallest singular value.
+    """
+    a = np.asarray(a, dtype=np.complex128)
+    # Entry-major: row k holds entry k of every member, so that each step is
+    # one operation along the stack rather than one across nine entries.
+    t = np.ascontiguousarray(a.reshape(-1, 9).T)
+    mag = np.abs(t)
+    big = mag.max(axis=0)
+    bad = ~np.isfinite(big)
+    if bad.any():   # zeroed, so that det = 0
+        t[:, bad], mag[:, bad], big[bad] = 0.0, 0.0, 0.0
+    e = -np.frexp(big)[1]
+    np.ldexp(t.real, e, out=t.real)
+    np.ldexp(t.imag, e, out=t.imag)
+    np.ldexp(mag, e, out=mag)
+    x1, y1, x2, y2 = t[_COFACTOR_TERMS]
+    c = x1 * y1 - x2 * y2
+    mx1, my1, mx2, my2 = mag[_COFACTOR_TERMS]
+    m = mx1 * my1 + mx2 * my2
+    det = np.abs(t[0] * c[0] + t[1] * c[1] + t[2] * c[2])
+    den = det - _GAMMA * (mag[0] * m[0] + mag[1] * m[1] + mag[2] * m[2])
+    num = (np.sqrt((mag * mag).sum(axis=0))
+           * (np.sqrt((c.real * c.real + c.imag * c.imag).sum(axis=0)) + _GAMMA * m.sum(axis=0)))
+    ok = (den > 0) & (det >= _TINY)
+    with np.errstate(over="ignore"):   # a quotient too large for a double is +inf
+        return np.where(ok, num / np.where(ok, den, 1.0) * (1.0 + _GAMMA), np.inf)
 
 
 PIECE_ROWS = 256

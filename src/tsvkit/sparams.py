@@ -4,6 +4,11 @@ Single points convert with the equal-real-reference form S = (Z - Z0 I)(Z + Z0 I
 and its algebraic inverse Z = Z0 (I + S)(I - S)^-1, computed with
 partial-pivoting linear solves in extended precision (never an explicit
 inverse); `s_to_z` also inverts a whole sweep, as stacks of such solves.
+A conversion is refused where the matrix it inverts has a 2-norm condition
+number above COND_LIMIT.  A sweep is cleared by the adjugate bound
+(`numerics.condition_bound`) and takes an SVD only for the members the
+bound cannot clear; a refusal names the first frequency over the limit
+with its SVD condition number, as when every member takes an SVD.
 Sweeps convert in closed form from the branch impedances by even/odd-mode
 analysis (`modal_s`); the solve route is the exact reference it is
 checked against.  Magnitudes are reported as 20*log10|s|.
@@ -18,7 +23,7 @@ import numpy as np
 
 from .errors import ConversionError, NetworkDegeneracyError, ValidationError
 from .network import ThreePortZ, ZSweep
-from .numerics import condition_number, csv_text, pieces, solve_extended
+from .numerics import condition_bound, condition_number, csv_text, pieces, solve_extended
 from .params import is_finite_real
 
 COND_LIMIT = 1e12
@@ -47,27 +52,50 @@ class ThreePortS:
 
 def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency, name: str,
                    note: str = "") -> np.ndarray:
-    """b @ inv(a) by an extended-precision solve, refused above COND_LIMIT.
+    """b @ inv(a) by extended-precision solves of a^T x^T = b^T, refused above COND_LIMIT.
 
     ``a`` and ``b`` are 3x3 at one ``frequency`` or (N, 3, 3) stacks over an
-    (N,) ``frequency`` vector.  ``name`` spells the matrix ``a`` in the
-    :class:`ConversionError` messages, which name the first frequency that
-    fails.
+    (N,) ``frequency`` vector, solved PIECE_ROWS members at a time.  ``name``
+    spells the matrix ``a`` in the :class:`ConversionError` messages, which
+    name the first frequency that fails with its SVD condition number.  A
+    stack is first cleared by :func:`condition_bound`, which is never below
+    the SVD value: only the members it leaves above the limit take an SVD,
+    and the first of them over the limit is the first member over it.  One
+    matrix takes the SVD, which costs less than the bound's array set-up.
     """
-    cond = condition_number(a)
-    if not (np.asarray(cond) <= COND_LIMIT).all():   # NaN fails too
-        cond, freqs = np.atleast_1d(cond, frequency)
-        k = np.flatnonzero(~(cond <= COND_LIMIT))[0]
-        raise ConversionError(
-            f"{name} is singular or ill-conditioned at {freqs[k]:.6g} Hz "
-            f"(condition number {cond[k]:.3e}){note}", condition_number=float(cond[k]))
-    try:
-        # x = b a^-1  via  x^T = solve(a^T, b^T)
-        return solve_extended(a.swapaxes(-1, -2), b.swapaxes(-1, -2)).swapaxes(-1, -2)
-    except NetworkDegeneracyError as err:
-        cond, freqs = np.atleast_1d(cond, frequency)
-        raise ConversionError(f"{name} singular at {freqs[err.index]:.6g} Hz",
-                              condition_number=float(cond[err.index])) from err
+    if a.ndim == 2:
+        cond = condition_number(a)
+        if not cond <= COND_LIMIT:   # NaN fails too
+            raise _ill_conditioned(name, frequency, cond, note)
+        try:
+            return solve_extended(a.T, b.T).T
+        except NetworkDegeneracyError as err:
+            raise _singular(name, frequency, cond) from err
+    suspect = np.flatnonzero(~(condition_bound(a) <= COND_LIMIT))
+    if suspect.size:
+        cond = condition_number(a[suspect])
+        over = np.flatnonzero(~(cond <= COND_LIMIT))
+        if over.size:
+            k = over[0]
+            raise _ill_conditioned(name, frequency[suspect[k]], cond[k], note)
+    x = np.empty_like(a)
+    for piece in pieces(len(a)):
+        try:
+            x[piece] = solve_extended(a[piece].swapaxes(1, 2),
+                                      b[piece].swapaxes(1, 2)).swapaxes(1, 2)
+        except NetworkDegeneracyError as err:
+            k = piece.start + err.index
+            raise _singular(name, frequency[k], condition_number(a[k])) from err
+    return x
+
+
+def _ill_conditioned(name, frequency, cond, note) -> ConversionError:
+    return ConversionError(f"{name} is singular or ill-conditioned at {frequency:.6g} Hz "
+                           f"(condition number {cond:.3e}){note}", condition_number=float(cond))
+
+
+def _singular(name, frequency, cond) -> ConversionError:
+    return ConversionError(f"{name} singular at {frequency:.6g} Hz", condition_number=float(cond))
 
 
 def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> ThreePortS:
@@ -78,24 +106,17 @@ def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> ThreePortS:
     return ThreePortS(frequency=zp.frequency, s=s, z0=z0)
 
 
-def _z_from_s(s: np.ndarray, z0: float, frequency) -> np.ndarray:
-    eye = np.eye(3)
-    return _guarded_solve(eye - s, z0 * (eye + s), frequency, "(I - S)",
-                          "; S has a near-unit eigenvalue")
-
-
 def s_to_z(sp):
     """Invert the scattering conversion: Z = z0 (I + S)(I - S)^-1.
 
     A :class:`ThreePortZ` for a :class:`ThreePortS`; an (N, 3, 3) array for
-    an :class:`SSweep`, solved as stacks of PIECE_ROWS frequencies.
+    an :class:`SSweep`, whose conditioning is checked once over the whole
+    sweep and which is solved as stacks of PIECE_ROWS frequencies.
     """
-    if isinstance(sp, SSweep):
-        z = np.empty_like(sp.s)
-        for piece in pieces(len(sp)):
-            z[piece] = _z_from_s(sp.s[piece], sp.z0, sp.frequency[piece])
-        return z
-    return ThreePortZ(frequency=sp.frequency, z=_z_from_s(sp.s, sp.z0, sp.frequency))
+    eye = np.eye(3)
+    z = _guarded_solve(eye - sp.s, sp.z0 * (eye + sp.s), sp.frequency, "(I - S)",
+                       "; S has a near-unit eigenvalue")
+    return z if isinstance(sp, SSweep) else ThreePortZ(frequency=sp.frequency, z=z)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,12 +2,13 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import pytest
 
 import reference_values as ref
-from tsvkit import DEFAULT_GEOMETRY, DEFAULT_MATERIALS
+from tsvkit import DEFAULT_GEOMETRY, DEFAULT_MATERIALS, ValidationError, cli
 from tsvkit.cli import main
 from tsvkit.network import z_matrix_mna
 from tsvkit.rlgc import rlgc_at
@@ -440,3 +441,41 @@ class TestCommandLineErrors:
             main([flag])
         assert exc.value.code == 0
         assert capsys.readouterr().out
+
+
+class TestParserBuiltForOneSubcommand:
+    """main adds flags only to the subparser named on the command line."""
+
+    ARGVS = [["--help"], ["extract", "--help"], ["sweep", "--help"], ["spur", "--help"],
+             ["validate", "--help"], ["bogus"], ["validate", "--bogus"], [],
+             ["extract", "--points", "x"], ["spur", "--mode", "loud"], ["sweep", "--param", "pitch"],
+             ["--version"], ["-h", "validate"]]
+
+    @staticmethod
+    def outcome(capsys, call, argv):
+        try:
+            code = call(argv)
+        except SystemExit as exc:
+            code = exc.code
+        return (code, *capsys.readouterr())
+
+    @pytest.mark.parametrize("argv", ARGVS, ids=" ".join)
+    def test_help_usage_and_errors_as_with_every_flag(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def every_flag(argv):   # main as it was, with the whole parser built
+            try:
+                cli.build_parser().parse_args(argv)
+            except ValidationError as err:
+                print(f"error: {err}", file=sys.stderr)
+                return 2
+        expected = self.outcome(capsys, every_flag, argv)
+        assert expected[0] in (0, 2) and expected[1] + expected[2]
+        assert self.outcome(capsys, main, argv) == expected
+
+    def test_only_the_named_subcommand_gets_flags(self):
+        parser = cli.build_parser("spur")
+        assert parser.parse_args(["spur", "--mode", "amplitude"]).func is cli.cmd_spur
+        with pytest.raises(ValidationError, match="unrecognized arguments: --points 3"):
+            parser.parse_args(["validate", "--points", "3"])
+        assert cli.build_parser().parse_args(["validate", "--points", "3"]).points == 3

@@ -9,8 +9,8 @@ import pytest
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid, NetworkDegeneracyError,
                     ValidationError, numerics, rlgc_at, s_sweep, z_sweep)
 from tsvkit.network import PORT_INDEX, nodal_admittance
-from tsvkit.numerics import (PIECE_ROWS, FieldError, condition_number, csv_text, format_rows,
-                             non_ascii_line, parse_fields, pieces, solve_extended)
+from tsvkit.numerics import (PIECE_ROWS, FieldError, condition_bound, condition_number, csv_text,
+                             format_rows, non_ascii_line, parse_fields, pieces, solve_extended)
 
 # a floating-point warning leaked from a numerics path fails its test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -264,6 +264,74 @@ class TestConditionNumber:
         assert condition_number(a).tolist() == [1.0, np.inf, np.inf, np.inf]
         assert condition_number(a[2]) == np.inf
         assert condition_number(a[2:3]).tolist() == [np.inf]
+
+    def test_non_finite_members_never_reach_lapack(self, capfd):
+        # LAPACK prints "** On entry to DLASCL ..." to stdout for an all-inf matrix
+        a = np.stack([np.full((3, 3), np.inf), np.eye(3), np.full((3, 3), np.nan)])
+        a[1, 2, 0] = -np.inf
+        assert condition_number(a[0]) == np.inf
+        assert condition_number(a).tolist() == [np.inf] * 3
+        assert condition_number(np.full((2, 3, 3), np.inf + 1j)).tolist() == [np.inf] * 2
+        assert capfd.readouterr() == ("", "")
+
+
+def prescribed_stack(rng, count):
+    """Members U diag(1, s, 1/k) V^H, k log-uniform in [1, 1e17], scaled by 1e-300 .. 1e300."""
+    def unitary():
+        q, _ = np.linalg.qr(rng.normal(size=(count, 3, 3)) + 1j * rng.normal(size=(count, 3, 3)))
+        return q
+    log_k = rng.uniform(0.0, 17.0, count)
+    sigma = np.stack([np.ones(count), 10.0 ** -(rng.uniform(0.0, 1.0, count) * log_k),
+                      10.0 ** -log_k], axis=1)
+    a = (unitary() * sigma[:, None, :]) @ unitary().conj().swapaxes(1, 2)
+    return a * 10.0 ** rng.uniform(-300.0, 300.0, (count, 1, 1))
+
+
+def svd_condition_number(a):
+    """np.linalg.cond of each member scaled exactly by a power of two to a largest entry near 1.
+
+    LAPACK's own rescaling of subnormal entries is inexact: on them its
+    condition number can differ between calls on the same matrix.
+    """
+    e = np.frexp(np.abs(a).max(axis=(1, 2)))[1][:, None, None]
+    return np.linalg.cond(np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e))
+
+
+class TestConditionBound:
+    def test_never_below_the_svd_condition_number(self):
+        rng = np.random.default_rng(11)
+        a = prescribed_stack(rng, 60_000)
+        a[:600] /= np.abs(a[:600]).max(axis=(1, 2), keepdims=True)
+        a[:200] *= 1e-310                  # subnormal entries
+        a[200:400] *= 1e307                # near overflow
+        a[400:600] = np.eye(3) * 5e-324    # the smallest subnormal on the diagonal
+        a[600:610] = 0.0
+        a[610:620, 1, 1] = np.inf
+        a[620:630, 2, 0] = np.nan
+        bound = condition_bound(a)
+        assert (bound[600:630] == np.inf).all()
+        a, bound = np.delete(a, np.s_[600:630], axis=0), np.delete(bound, np.s_[600:630])
+        cond = svd_condition_number(a)
+        finite = np.isfinite(bound)
+        assert not (bound[finite] < cond[finite]).any()
+        identity = condition_bound(np.eye(3)[None])[0]
+        assert 3.0 < identity < 3.0 + 1e-13 and (bound[400:600] == identity).all()
+        # the bound clears most members within a limit of 1e12
+        assert finite.sum() > 0.5 * len(a)
+        assert (bound <= 1e12).sum() > 0.9 * (cond <= 1e11).sum()
+
+    def test_singular_zero_and_non_finite_members_are_infinite(self, capfd):
+        a = np.stack([np.eye(3)] * 7).astype(complex)
+        a[1] = 0.0
+        a[2, 2] = a[2, 0]                  # singular
+        a[3, 1, 1] = np.nan
+        a[4, 0, 2] = np.inf
+        a[5] = np.inf
+        a[6, 2, 2] = 1e-200                # condition number 1e200
+        bound = condition_bound(a)
+        assert 3.0 < bound[0] < 3.0 + 1e-13 and bound[1:].tolist() == [np.inf] * 6
+        assert capfd.readouterr() == ("", "")
+
 
 
 def test_pieces_cover_the_axis_in_order():

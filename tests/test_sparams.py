@@ -9,9 +9,11 @@ import pytest
 import reference_values as ref
 from tsvkit import (ConversionError, DEFAULT_GEOMETRY, DEFAULT_MATERIALS,
                     FrequencyGrid, SSweep, ThreePortS, ValidationError)
+from tsvkit import sparams
 from tsvkit.network import ThreePortZ, z_matrix_at, z_matrix_mna, z_sweep
+from tsvkit.numerics import condition_bound, solve_extended
 from tsvkit.rlgc import rlgc_at
-from tsvkit.sparams import (magnitude_db, max_singular_value, modal_s, s_sweep,
+from tsvkit.sparams import (COND_LIMIT, magnitude_db, max_singular_value, modal_s, s_sweep,
                             s_sweep_csv, s_to_z, z_to_s)
 
 # a floating-point warning leaked from a numerics path fails its test
@@ -269,6 +271,91 @@ class TestStackedInverse:
         with pytest.raises(ConversionError, match="at 5.51e[+]09 Hz") as err:
             s_to_z(SSweep(f, s))
         assert err.value.condition_number == np.inf
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    def test_bound_clears_model_sweeps_without_an_svd(self, seed, monkeypatch):
+        geom, mat = (GEOM, MAT) if seed is None else perturbed_design(seed)
+        sweep = s_sweep(z_sweep(FrequencyGrid.logarithmic(1e6, 100e9, 20001), geom, mat))
+        assert (condition_bound(np.eye(3) - sweep.s) <= COND_LIMIT).all()
+
+        def no_svd(a):
+            raise AssertionError("the guard took an SVD")
+        monkeypatch.setattr(sparams, "condition_number", no_svd)
+        assert np.isfinite(s_to_z(sweep)).all()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_same_result_as_a_guard_taking_every_svd(self, seed):
+        rng = np.random.default_rng(seed)
+        n = 2 * 256 + 77
+        f = np.linspace(1e8, 1e11, n)
+        # S = Q diag(lam) Q^H, so cond(I - S) = max |1 - lam| / min |1 - lam|: set by
+        # an eigenvalue planted near 1 to a target below the limit, or above it in
+        # every fourth case; the bound clears some and leaves the rest to the SVD
+        q, _ = np.linalg.qr(rng.normal(size=(n, 3, 3)) + 1j * rng.normal(size=(n, 3, 3)))
+        lam = rng.uniform(-0.6, 0.6, (n, 3)) + 1j * rng.uniform(-0.6, 0.6, (n, 3))
+        near = rng.choice(n, 12, replace=False)
+        target = np.concatenate([10.0 ** rng.uniform(10.0, 11.7, 6), rng.uniform(6e11, 9.9e11, 6)])
+        if seed % 4 == 1:
+            target[::2] = 10.0 ** rng.uniform(12.0, 14.0, 6)
+        largest = np.abs(1.0 - lam[near, 1:]).max(axis=1)
+        lam[near, 0] = 1.0 - largest / target * np.exp(2j * np.pi * rng.random(12))
+        s = (q * lam[:, None, :]) @ q.conj().swapaxes(1, 2)
+        if seed % 4 == 2:
+            s[rng.integers(n)] = np.eye(3)                  # I - S singular
+        if seed % 4 == 3:
+            s[rng.integers(n), 1, 2] = [np.inf, np.nan][seed % 8 // 4]
+        sweep = SSweep(f, s, z0=rng.uniform(20.0, 80.0))
+        expected = reference_s_to_z(sweep)
+        if isinstance(expected, ConversionError):
+            assert seed % 4
+            # z0 (I + S) of an inf entry is inf * 0 in its imaginary part
+            with pytest.raises(ConversionError) as err, np.errstate(invalid="ignore"):
+                s_to_z(sweep)
+            assert (str(err.value), err.value.condition_number) == \
+                (str(expected), expected.condition_number)
+            return
+        assert seed % 4 == 0
+        # the bound leaves some members to the SVD, which clears them
+        assert (condition_bound(np.eye(3) - s)[near] > COND_LIMIT).any()
+        assert s_to_z(sweep).tobytes() == expected.tobytes()
+        for k in [*near[:4], 0, n - 1]:   # one matrix takes the SVD itself
+            assert s_to_z(sweep[k]).z.tobytes() == expected[k].tobytes()
+
+    @pytest.mark.parametrize("planted", [[400, 550], [550], [400], []])
+    def test_named_point_stacks_as_the_every_svd_guard(self, planted):
+        f = np.arange(1, 601) * 1e7
+        s = np.zeros((600, 3, 3), dtype=complex)
+        s[::7] = np.diag([0.5, -0.5, 0.25])
+        for k, sk in {400: np.diag([1.0 - 1e-14, 0.5, 0.5]), 550: np.eye(3)}.items():
+            if k in planted:
+                s[k] = sk
+        sweep = SSweep(f, s)
+        expected = reference_s_to_z(sweep)
+        if not planted:
+            assert s_to_z(sweep).tobytes() == expected.tobytes()
+            return
+        with pytest.raises(ConversionError) as err:
+            s_to_z(sweep)
+        assert (str(err.value), err.value.condition_number) == \
+            (str(expected), expected.condition_number)
+
+
+def reference_s_to_z(sweep):
+    """Z of each member, or the ConversionError of the first with np.linalg.cond(I - S) > 1e12."""
+    eye = np.eye(3)
+    with np.errstate(invalid="ignore"):
+        a, b = eye - sweep.s, sweep.z0 * (eye + sweep.s)
+    finite = np.isfinite(a).all(axis=(1, 2))   # LAPACK prints about the others
+    cond = np.full(len(a), np.inf)
+    cond[finite] = np.linalg.cond(a[finite])
+    over = np.flatnonzero(~(cond <= 1e12))
+    if over.size:
+        k = over[0]
+        return ConversionError(
+            f"(I - S) is singular or ill-conditioned at {sweep.frequency[k]:.6g} Hz "
+            f"(condition number {cond[k]:.3e}); S has a near-unit eigenvalue",
+            condition_number=float(cond[k]))
+    return np.stack([solve_extended(a[k].T, b[k].T).T for k in range(len(a))])
 
 
 class TestMagnitudes:
