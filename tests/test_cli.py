@@ -448,8 +448,8 @@ class TestParserBuiltForOneSubcommand:
 
     ARGVS = [["--help"], ["extract", "--help"], ["sweep", "--help"], ["spur", "--help"],
              ["validate", "--help"], ["bogus"], ["validate", "--bogus"], [],
-             ["extract", "--points", "x"], ["spur", "--mode", "loud"], ["sweep", "--param", "pitch"],
-             ["--version"], ["-h", "validate"]]
+             ["extract", "--points", "x"], ["spur", "--mode", "loud"],
+             ["sweep", "--param", "pitch"], ["--version"], ["-h", "validate"]]
 
     @staticmethod
     def outcome(capsys, call, argv):
@@ -463,7 +463,7 @@ class TestParserBuiltForOneSubcommand:
     def test_help_usage_and_errors_as_with_every_flag(self, argv, capsys, monkeypatch):
         monkeypatch.setenv("COLUMNS", "80")
 
-        def every_flag(argv):   # main as it was, with the whole parser built
+        def every_flag(argv):   # main with every subcommand's flags built
             try:
                 cli.build_parser().parse_args(argv)
             except ValidationError as err:
