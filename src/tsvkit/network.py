@@ -24,9 +24,10 @@ Two independent computation routes are provided: closed-form branch algebra
 (`branch_impedances`, used per point by `z_matrix_at` and over the whole
 frequency axis by `z_sweep`) and modified nodal analysis with unit current
 injection (`z_matrix_mna`).  They must agree to 1e-9; `verify_dual_route`
-checks that.  The nodal route stamps the fixed network into one 5x5 matrix
-(`nodal_admittance`), with the nodes in the order port1, mid, port3, port2
-and the internal node between C_ox and C_d; the reference is eliminated.
+checks that.  The nodal route lists the six elements as branches between
+five nodes (`nodal_branches`); `nodal_solve` stamps them into one complex128
+matrix, solves it with LAPACK and refines the solution from the branch
+currents.
 """
 
 from __future__ import annotations
@@ -45,8 +46,11 @@ from .rlgc import RlgcElements, rlgc_at
 # the nodal matrix numerically indistinguishable from singular.
 MIN_ELEMENT = 1e-30
 
-# Nodal-matrix indices of ports 1, 2 and 3 (see `nodal_admittance`).
+# Nodes of the nodal route, the indices of ports 1, 2 and 3 among them, and
+# the refinement steps of every nodal solve (see `nodal_branches`, `nodal_solve`).
+NODES = 5
 PORT_INDEX = [0, 3, 2]
+REFINE_STEPS = 2
 
 
 def _check_bounds(start, stop, n) -> None:
@@ -188,17 +192,12 @@ def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
     return ThreePortZ(frequency=f, z=z)
 
 
-def nodal_admittance(f, elements: RlgcElements, r_half) -> np.ndarray:
-    """Complex nodal admittance matrix of the fixed network, reference eliminated.
+def nodal_branches(f, elements: RlgcElements, r_half) -> list:
+    """The elements of the fixed network as branches ``(node a, node b, admittance)``.
 
     Nodes: port1, mid, port3, port2 and the internal node of the C_ox -- C_d
-    stack, stamped explicitly, so this route shares no algebra with the
-    closed form beyond the element values.  Assembled and returned in
-    clongdouble: the diagonal sums mix admittances ~12 orders of magnitude
-    apart, and rounding the small ones into the large ones at double
-    precision already costs ~1e-8 of the Z22 entries at the bottom of the
-    default grid.  ``f`` is one frequency, giving a (5, 5) matrix, or an (N,)
-    vector, giving (N, 5, 5); ``r_half`` is a scalar or an (N,) array.
+    stack; ``b = None`` is the reference.  Admittances are scalars, or (N,)
+    arrays over an (N,) vector ``f``; ``r_half`` is a scalar or an (N,) array.
     """
     for name, value in (("r_half", np.min(r_half)), ("l_half", elements.l_half),
                         ("c_ox", elements.c_ox), ("c_d", elements.c_d),
@@ -208,31 +207,51 @@ def nodal_admittance(f, elements: RlgcElements, r_half) -> np.ndarray:
                 f"{name} = {value} below {MIN_ELEMENT}: "
                 "degenerate element would produce a singular network"
             )
-    s = np.clongdouble(2j * math.pi) * np.clongdouble(f)
-    y_seg = np.clongdouble(1.0) / (np.clongdouble(r_half) + s * np.clongdouble(elements.l_half))
-    y = np.zeros(np.shape(s) + (5, 5), dtype=np.clongdouble)
-    # One stamp per element, always in this order: the order sets how the
-    # clongdouble sums round, signed zeros included.  b = None is the reference.
-    for a, b, admittance in ((0, 1, y_seg), (1, 2, y_seg),
-                             (1, 3, np.clongdouble(elements.g_si)),
-                             (1, 3, s * np.clongdouble(elements.c_si)),
-                             (3, 4, s * np.clongdouble(elements.c_ox)),
-                             (4, None, s * np.clongdouble(elements.c_d))):
+    s = 2j * math.pi * np.asarray(f, dtype=float)
+    y_seg = 1.0 / (r_half + s * elements.l_half)
+    return [(0, 1, y_seg), (1, 2, y_seg), (1, 3, elements.g_si), (1, 3, s * elements.c_si),
+            (3, 4, s * elements.c_ox), (4, None, s * elements.c_d)]
+
+
+def nodal_solve(branches, rhs: np.ndarray) -> np.ndarray:
+    """Node voltages, (5, r) or (N, 5, r), of ``branches`` for (5, r) injected currents ``rhs``.
+
+    The branches are stamped into the nodal matrix Y, which LAPACK inverts,
+    and x = Y^-1 rhs is refined REFINE_STEPS times by x += Y^-1 (rhs - Y x),
+    with the residual summed from the branch currents y (x_a - x_b), never
+    from Y, whose diagonal sums round admittances 12 decades apart (iterative
+    refinement; Higham, *Accuracy and Stability of Numerical Algorithms*,
+    ch. 12).  A fixed step count gives a stack member its bits when alone.
+    """
+    shape = np.broadcast_shapes(*(np.shape(admittance) for _, _, admittance in branches))
+    y = np.zeros(shape + (NODES, NODES), dtype=complex)
+    for a, b, admittance in branches:
         y[..., a, a] += admittance
         if b is not None:
             y[..., b, b] += admittance
             y[..., a, b] -= admittance
             y[..., b, a] -= admittance
-    return y
+    inv = solve_extended(y, np.broadcast_to(np.eye(NODES), y.shape))
+    x = inv @ rhs
+    with np.errstate(all="ignore"):   # overflow shows as a non-finite solution
+        for _ in range(REFINE_STEPS):
+            residual = np.array(np.broadcast_to(rhs, x.shape), dtype=complex)
+            for a, b, admittance in branches:
+                drop = x[..., a, :] if b is None else x[..., a, :] - x[..., b, :]
+                current = np.expand_dims(admittance, -1) * drop
+                residual[..., a, :] -= current
+                if b is not None:
+                    residual[..., b, :] += current
+            x += inv @ residual
+    return x
 
 
 def _port_z(f, elements: RlgcElements, r_half) -> np.ndarray:
     """Open-circuit port voltages for unit port currents: (3, 3), or (N, 3, 3) over f."""
-    y = nodal_admittance(f, elements, r_half)
-    rhs = np.zeros((5, 3))
+    rhs = np.zeros((NODES, 3))
     rhs[PORT_INDEX, range(3)] = 1.0
     try:
-        v = solve_extended(y, np.broadcast_to(rhs, y.shape[:-1] + (3,)))
+        v = nodal_solve(nodal_branches(f, elements, r_half), rhs)
     except NetworkDegeneracyError as err:
         fk = float(np.atleast_1d(f)[err.index])
         raise NetworkDegeneracyError(

@@ -1,23 +1,17 @@
-"""Small dense complex solves with extended-precision accumulation, and text tables.
-
-The three-port matrices span ~12 orders of magnitude across the sweep (the
-substrate branch is nearly open at the bottom of the grid), which costs plain
-double-precision solves 6-8 digits exactly where the self-check tolerances
-bite.  Running the elimination in clongdouble (80-bit on x86-64) keeps the
-round-trip and dual-route identities comfortably below 1e-9 without changing
-any public dtype: inputs and outputs stay complex128.
+"""Small dense complex solves, condition numbers, and text tables.
 
 A solve and a condition number take one matrix or a stack of them over the
-frequency axis.  A stack is eliminated one pivot column at a time across
-all its members, each member with the pivots and row updates it would get
-alone, so the two give the same bits.  In a stack, a row whose multiplier
-is zero in every member is left alone, as the zero multipliers would leave
-it; in the nodal stacks that is most rows.  Callers pass stacks of at most
-PIECE_ROWS frequencies (see :func:`pieces`), which bounds the memory of the
-extended-precision temporaries.  A condition number comes from an SVD; for
-a stack of 3x3 matrices, :func:`condition_bound` gives an upper bound on
-each from the adjugate and the determinant, with their rounding errors,
-for a few array operations, so that only members it cannot clear need one.
+frequency axis.  A solve is LAPACK's (``np.linalg.solve``) in complex128,
+which factors each member of a stack as it would factor it alone, so the
+two give the same bits; where accuracy beyond a backward-stable solve
+matters, the caller refines (the nodal route of ``network``).  Callers pass
+stacks of at most PIECE_ROWS frequencies (see :func:`pieces`), which bounds
+each stack and the temporaries built on it, such as the nodal route's
+inverses and refinement residuals, to about 100 kB.  A condition number
+comes from an SVD; for a stack of 3x3 matrices, :func:`condition_bound`
+gives an upper bound on each from the adjugate and the determinant, with
+their rounding errors, for a few array operations, so that only members it
+cannot clear need one.
 
 Text tables (:func:`format_rows`) hold each field exactly as C's ``%.Ne``
 writes it: the binary value correctly rounded to N + 1 significant digits,
@@ -56,7 +50,6 @@ other digit counts, ``1_0``, ``nan``, a NUL, exponents outside -14 .. +30
 
 from __future__ import annotations
 
-import itertools
 import re
 
 import numpy as np
@@ -65,58 +58,33 @@ from .errors import NetworkDegeneracyError, ValidationError
 
 
 def solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting in clongdouble.
+    """Solve a @ x = b in complex128 by LAPACK (``np.linalg.solve``).
 
     ``a`` is one (n, n) matrix or a stack (N, n, n).  ``b`` holds one
     right-hand-side vector per matrix (shape ``a.shape[:-1]``) or columns of
-    them (``a.shape[:-1] + (r,)``).  Every member of a stack is eliminated
-    with the same pivot choice and the same order of row updates as when it
-    is solved alone, so it gets the same bits.  Raises
-    :class:`NetworkDegeneracyError` on an exactly singular pivot; its
+    them (``a.shape[:-1] + (r,)``).  Each member of a stack is factored as it
+    would be alone, so it gets the same bits.  Raises
+    :class:`NetworkDegeneracyError` on an exactly singular matrix; its
     ``index`` is the first singular member of the stack (0 for one matrix).
     """
-    vector = np.ndim(b) == np.ndim(a) - 1
-    n = np.shape(a)[-1]
-    # [a | b] in one array: each row swap and row update covers both
-    w = np.concatenate([np.asarray(a), np.expand_dims(b, -1) if vector else np.asarray(b)],
-                       axis=-1, dtype=np.clongdouble)
-    w = w.reshape(-1, n, w.shape[-1])
-    with np.errstate(all="ignore"):
-        for k in range(n - 1):
-            rel = np.abs(w[:, k:, k]).argmax(axis=1)   # the pivot row is k + rel
-            swap = rel.nonzero()[0]
-            if swap.size:
-                piv = k + rel[swap]
-                w[swap, k], w[swap, piv] = w[swap, piv], w[swap, k]
-            m = w[:, k + 1:, k, None] / w[:, k, None, k, None]
-            nonzero = m != 0
-            # A zero multiplier leaves its row untouched, as in a lone solve.  A
-            # stack updates only the runs of rows below the pivot with a nonzero
-            # multiplier in some member, masked (slower than unmasked) only where
-            # some are zero; one system costs less to update whole than to sort.
-            if len(w) == 1:
-                below = w[:, k + 1:, k + 1:]
-                np.subtract(below, m * w[:, k, None, k + 1:], out=below, where=nonzero)
-                continue
-            start = 0
-            for live, run in itertools.groupby(nonzero.any(axis=(0, 2)).tolist()):
-                stop = start + len(list(run))
-                if live:
-                    rows = w[:, k + 1 + start:k + 1 + stop, k + 1:]
-                    mask = nonzero[:, start:stop]
-                    np.subtract(rows, m[:, start:stop] * w[:, k, None, k + 1:], out=rows,
-                                where=True if mask.all() else mask)
-                start = stop
-        pivots = w.diagonal(axis1=1, axis2=2)[:, :n]
-        if not pivots.all():
-            raise NetworkDegeneracyError("singular matrix in linear solve",
-                                         index=int((pivots == 0).any(axis=1).argmax()))
-        x = np.empty_like(w[:, :, n:])
-        x[:, -1] = w[:, -1, n:] / pivots[:, -1, None]
-        for i in range(n - 2, -1, -1):
-            x[:, i] = ((w[:, i, n:] - (w[:, i, None, i + 1:n] @ x[:, i + 1:])[:, 0])
-                       / pivots[:, i, None])
-    return x.astype(np.complex128).reshape(np.shape(b))
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    n = a.shape[-1]
+    # Explicit columns (N, n, r): numpy 2 reads an (N, n) right-hand side as
+    # one matrix, where numpy 1 reads it as N vectors.
+    cols = b.reshape(-1, n, 1 if b.ndim < a.ndim else b.shape[-1])
+    a = a.reshape(-1, n, n)
+    try:
+        x = np.linalg.solve(a, cols)
+    except np.linalg.LinAlgError:
+        # LAPACK refuses the whole stack: name its first singular member
+        for k in range(len(a)):
+            try:
+                np.linalg.solve(a[k], cols[k])
+            except np.linalg.LinAlgError:
+                raise NetworkDegeneracyError("singular matrix in linear solve", index=k) from None
+        raise
+    return x.reshape(b.shape)
 
 
 def condition_number(a: np.ndarray):

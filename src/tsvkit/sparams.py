@@ -1,9 +1,11 @@
 """Scattering parameters of the three-port from its impedance matrix.
 
 Single points convert with the equal-real-reference form S = (Z - Z0 I)(Z + Z0 I)^-1
-and its algebraic inverse Z = Z0 (I + S)(I - S)^-1, computed with
-partial-pivoting linear solves in extended precision (never an explicit
-inverse); `s_to_z` also inverts a whole sweep, as stacks of such solves.
+and its algebraic inverse Z = Z0 (I + S)(I - S)^-1, computed with LAPACK
+linear solves in complex128 (never an explicit inverse), unrefined: S and
+Z are already rounded, and their rounding amplified by the condition
+number bounds what a solve can recover.  `s_to_z` also inverts a whole
+sweep, as stacks of such solves.
 A conversion is refused where the matrix it inverts has a 2-norm condition
 number above COND_LIMIT.  A sweep is cleared by the adjugate bound
 (`numerics.condition_bound`) and takes an SVD only for the members the
@@ -52,7 +54,7 @@ class ThreePortS:
 
 def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency, name: str,
                    note: str = "") -> np.ndarray:
-    """b @ inv(a) by extended-precision solves of a^T x^T = b^T, refused above COND_LIMIT.
+    """b @ inv(a) by LAPACK solves of a^T x^T = b^T, refused above COND_LIMIT.
 
     ``a`` and ``b`` are 3x3 at one ``frequency`` or (N, 3, 3) stacks over an
     (N,) ``frequency`` vector, solved PIECE_ROWS members at a time.  ``name``
@@ -114,8 +116,9 @@ def s_to_z(sp):
     sweep and which is solved as stacks of PIECE_ROWS frequencies.
     """
     eye = np.eye(3)
-    z = _guarded_solve(eye - sp.s, sp.z0 * (eye + sp.s), sp.frequency, "(I - S)",
-                       "; S has a near-unit eigenvalue")
+    with np.errstate(invalid="ignore"):   # inf * 0 of an inf entry: the guard refuses it
+        b = sp.z0 * (eye + sp.s)
+    z = _guarded_solve(eye - sp.s, b, sp.frequency, "(I - S)", "; S has a near-unit eigenvalue")
     return z if isinstance(sp, SSweep) else ThreePortZ(frequency=sp.frequency, z=z)
 
 

@@ -15,7 +15,8 @@ First sideband level relative to the carrier, small modulation index:
 ``k_sub`` is a calibration parameter, fitted from reference spur measurements
 (`calibrate_k_sub`).  Amplitude-to-amplitude behavior is exactly 6.02 dB per
 octave; frequency behavior combines the 1/f_agg FM roll-off with the
-frequency dependence of the substrate transfer.
+frequency dependence of the substrate transfer, which `substrate_transfer_mna`
+checks by the network's nodal solve.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import (CalibrationWarning, ModelValidityError, NarrowbandWarning,
                      ValidationError)
-from .network import PORT_INDEX, branch_impedances, nodal_admittance
-from .numerics import solve_extended
+from .network import NODES, PORT_INDEX, branch_impedances, nodal_branches, nodal_solve
 from .params import MaterialParams, TsvGeometry, _require_positive_fields, is_finite_real
 from .rlgc import rlgc_at
 
@@ -115,16 +117,15 @@ def substrate_transfer(f: float, geom: TsvGeometry, mat: MaterialParams,
 def substrate_transfer_mna(f: float, geom: TsvGeometry, mat: MaterialParams,
                            termination: float = 50.0,
                            substrate_load: float | None = None) -> complex:
-    """Same transfer by loaded nodal analysis; verification route."""
+    """Same transfer by nodal analysis, termination and load as branches; verification route."""
     el = rlgc_at(f, geom, mat)
-    y = nodal_admittance(f, el, el.r_half)
     p1, p2, p3 = PORT_INDEX
-    y[p3, p3] += 1.0 / termination
+    loads = [(p3, None, 1.0 / termination)]
     if substrate_load is not None:
-        y[p2, p2] += 1.0 / substrate_load
-    rhs = [0.0] * y.shape[0]
+        loads.append((p2, None, 1.0 / substrate_load))
+    rhs = np.zeros((NODES, 1))
     rhs[p1] = 1.0
-    v = solve_extended(y, rhs)
+    v = nodal_solve(nodal_branches(f, el, el.r_half) + loads, rhs)[:, 0]
     return complex(v[p2] / v[p1])
 
 

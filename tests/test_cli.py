@@ -302,6 +302,16 @@ class TestValidate:
         assert code == 1 and payload["passed"] is False
         assert [c["passed"] for c in payload["checks"]] == [True, True, True, False, True, True]
 
+    def test_nodal_route_holds_from_1khz_to_1thz(self, capsys):
+        # the refined nodal solve agrees with the closed form down to 1 kHz;
+        # the S round trip there is bounded by the rounding of S itself
+        code, out, err = run(capsys, "validate", "--f-start", "1e3", "--f-stop", "1e12",
+                             "--points", "2001")
+        assert code == 1 and err == ""
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "PASS dual_route_z", "PASS reciprocity", "PASS passivity", "FAIL z_s_roundtrip",
+            "PASS touchstone_roundtrip", "PASS transfer_dual_route"]
+
     @pytest.mark.parametrize("error", [1e-6, float("nan")])
     def test_dual_route_disagreement_is_a_fail_line(self, error, monkeypatch, capsys):
         import tsvkit.network

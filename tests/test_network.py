@@ -1,16 +1,19 @@
 """Three-port assembly, dual-route impedance computation, sweep contracts."""
 
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
-                    NetworkDegeneracyError, ValidationError)
-from tsvkit.network import (MIN_ELEMENT, Z_CSV_HEADER, verify_dual_route,
-                            z_matrix_at, z_matrix_mna, z_sweep, z_sweep_csv)
+                    NetworkDegeneracyError, ValidationError, substrate_transfer_mna)
+from tsvkit.network import (MIN_ELEMENT, NODES, PORT_INDEX, Z_CSV_HEADER, nodal_branches,
+                            verify_dual_route, z_matrix_at, z_matrix_mna, z_sweep, z_sweep_csv)
 from tsvkit.rlgc import rlgc_at
+from tsvkit.spur import REPLICA_SUBSTRATE_LOAD
 
 GEOM = DEFAULT_GEOMETRY
 MAT = DEFAULT_MATERIALS
@@ -18,7 +21,6 @@ EL_1GHZ = rlgc_at(1e9, GEOM, MAT)
 
 
 def elements_with(**overrides):
-    from dataclasses import replace
     return replace(EL_1GHZ, **overrides)
 
 
@@ -125,8 +127,8 @@ class TestClosedForm:
 class TestDualRoute:
     def test_mna_matches_closed_form_at_1hz(self):
         # low-frequency limit check: the nodal matrix condition number is
-        # ~1e14 at 1 Hz, so even the extended-precision solve only carries
-        # ~5 digits there; the strict 1e-9 gate applies on the default grid
+        # ~1e14 at 1 Hz, where the refined double solve still carries ~6
+        # digits; the strict 1e-9 gate applies on the default grid
         el = rlgc_at(1.0, GEOM, MAT)
         za = z_matrix_at(1.0, el).z
         zb = z_matrix_mna(1.0, el).z
@@ -148,6 +150,93 @@ class TestDualRoute:
         za = z_matrix_at(f, el).z
         zb = z_matrix_mna(f, el).z
         assert np.abs((za - zb) / za).max() < 1e-9
+
+
+def gaussian(z):
+    """A complex128 as an exact Gaussian rational: a pair of Fractions."""
+    return Fraction(z.real), Fraction(z.imag)
+
+
+def exact_node_voltages(branches, rhs):
+    """Node voltages of the stamped branches for (NODES, r) injected currents, solved exactly.
+
+    The admittances are the route's own doubles, so the stamp, the
+    elimination and the back substitution are exact in Gaussian rationals;
+    each voltage is rounded to complex128 at the end.
+    """
+    def mul(x, y):
+        return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+    def sub(x, y):
+        return x[0] - y[0], x[1] - y[1]
+
+    def div(x, y):
+        d = y[0] * y[0] + y[1] * y[1]
+        return (x[0] * y[0] + x[1] * y[1]) / d, (x[1] * y[0] - x[0] * y[1]) / d
+
+    zero = (Fraction(0), Fraction(0))
+    rows = [[zero] * NODES + [gaussian(complex(v)) for v in rhs[i]] for i in range(NODES)]
+    for a, b, y in branches:
+        y = gaussian(complex(y))
+        rows[a][a] = sub(rows[a][a], (-y[0], -y[1]))
+        if b is not None:
+            rows[b][b] = sub(rows[b][b], (-y[0], -y[1]))
+            rows[a][b] = sub(rows[a][b], y)
+            rows[b][a] = sub(rows[b][a], y)
+    for k in range(NODES):
+        p = next(i for i in range(k, NODES) if rows[i][k] != zero)
+        rows[k], rows[p] = rows[p], rows[k]
+        for i in range(k + 1, NODES):
+            if rows[i][k] != zero:
+                m = div(rows[i][k], rows[k][k])
+                rows[i] = [sub(u, mul(m, v)) for u, v in zip(rows[i], rows[k])]
+    x = [None] * NODES
+    for k in reversed(range(NODES)):
+        acc = rows[k][NODES:]
+        for j in range(k + 1, NODES):
+            acc = [sub(u, mul(rows[k][j], v)) for u, v in zip(acc, x[j])]
+        x[k] = [div(u, rows[k][k]) for u in acc]
+    return np.array([[complex(float(re), float(im)) for re, im in row] for row in x])
+
+
+def seeded_design(seed):
+    scale = 1.15 ** np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
+    geom = replace(GEOM, height=GEOM.height * scale[0], radius=GEOM.radius * scale[1],
+                   pitch=GEOM.pitch * scale[2])
+    return geom, replace(MAT, sigma_si=MAT.sigma_si * scale[3])
+
+
+ORACLE_DESIGNS = [(GEOM, MAT), seeded_design(1), seeded_design(2)]
+ORACLE_FREQUENCIES = [1e3, 1e4, 1e6, 1e9, 1e12]
+
+
+class TestExactOracle:
+    """The nodal route against an exact rational solve of its own stamp, 1 kHz - 1 THz."""
+
+    @pytest.mark.parametrize("design", range(len(ORACLE_DESIGNS)))
+    def test_impedance_within_1e12_of_the_exact_solve(self, design):
+        geom, mat = ORACLE_DESIGNS[design]
+        rhs = np.zeros((NODES, 3))
+        rhs[PORT_INDEX, range(3)] = 1.0
+        for f in ORACLE_FREQUENCIES:
+            el = rlgc_at(f, geom, mat)
+            exact = exact_node_voltages(nodal_branches(f, el, el.r_half), rhs)[PORT_INDEX]
+            assert np.abs((z_matrix_mna(f, el).z - exact) / exact).max() <= 1e-12
+
+    @pytest.mark.parametrize("design", range(len(ORACLE_DESIGNS)))
+    def test_loaded_transfer_within_1e12_of_the_exact_solve(self, design):
+        geom, mat = ORACLE_DESIGNS[design]
+        p1, p2, p3 = PORT_INDEX
+        rhs = np.zeros((NODES, 1))
+        rhs[p1] = 1.0
+        for f in ORACLE_FREQUENCIES:
+            el = rlgc_at(f, geom, mat)
+            branches = nodal_branches(f, el, el.r_half) + [
+                (p3, None, 1.0 / 50.0 + 0j), (p2, None, 1.0 / REPLICA_SUBSTRATE_LOAD + 0j)]
+            v = exact_node_voltages(branches, rhs)[:, 0]
+            exact = v[p2] / v[p1]
+            h = substrate_transfer_mna(f, geom, mat, substrate_load=REPLICA_SUBSTRATE_LOAD)
+            assert abs(h - exact) <= 1e-12 * abs(exact)
 
 
 class TestStackedMna:

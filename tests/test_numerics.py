@@ -1,71 +1,17 @@
-"""Stacked extended-precision solves, condition numbers and the text kernels."""
+"""Stacked LAPACK solves, condition numbers and the text kernels."""
 
-import itertools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid, NetworkDegeneracyError,
-                    ValidationError, numerics, rlgc_at, s_sweep, z_sweep)
-from tsvkit.network import PORT_INDEX, nodal_admittance
+                    ValidationError, numerics, s_sweep, z_sweep)
 from tsvkit.numerics import (PIECE_ROWS, FieldError, condition_bound, condition_number, csv_text,
                              format_rows, non_ascii_line, parse_fields, pieces, solve_extended)
 
 # a floating-point warning leaked from a numerics path fails its test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
-
-def reference_solve(a, b):
-    """Textbook elimination of one system, one row at a time, in clongdouble.
-
-    The same pivot choice and order of row updates that solve_extended
-    applies to every member of a stack.
-    """
-    a = np.asarray(a, dtype=np.clongdouble).copy()
-    b = np.asarray(b, dtype=np.clongdouble).copy()
-    n = a.shape[0]
-    with np.errstate(all="ignore"):
-        for k in range(n):
-            piv = k + int(np.argmax(np.abs(a[k:, k])))
-            if piv != k:
-                a[[k, piv]] = a[[piv, k]]
-                b[[k, piv]] = b[[piv, k]]
-            for i in range(k + 1, n):
-                m = a[i, k] / a[k, k]
-                if m != 0:
-                    a[i, k:] -= m * a[k, k:]
-                    b[i] -= m * b[k]
-        x = np.zeros_like(b)
-        for i in range(n - 1, -1, -1):
-            x[i] = (b[i] - a[i, i + 1:] @ x[i + 1:]) / a[i, i]
-    return x.astype(np.complex128)
-
-
-def every_row_stack_solve(a, b):
-    """Stacked elimination that updates every row below each pivot under the m != 0 mask.
-
-    Also returns, per pivot step, how many rows have a nonzero multiplier
-    in some member: the rows solve_extended updates.
-    """
-    n = a.shape[-1]
-    w = np.concatenate([a, b], axis=-1, dtype=np.clongdouble)
-    live = []
-    with np.errstate(all="ignore"):
-        for k in range(n - 1):
-            rel = np.abs(w[:, k:, k]).argmax(axis=1)
-            swap = rel.nonzero()[0]
-            piv = k + rel[swap]
-            w[swap, k], w[swap, piv] = w[swap, piv], w[swap, k]
-            m = w[:, k + 1:, k, None] / w[:, k, None, k, None]
-            live.append(int((m != 0).any(axis=(0, 2)).sum()))
-            below = w[:, k + 1:, k + 1:]
-            np.subtract(below, m * w[:, k, None, k + 1:], out=below, where=m != 0)
-        x = np.empty_like(w[:, :, n:])
-        x[:, -1] = w[:, -1, n:] / w[:, -1, None, n - 1]
-        for i in range(n - 2, -1, -1):
-            x[:, i] = (w[:, i, n:] - (w[:, i, None, i + 1:n] @ x[:, i + 1:])[:, 0]) / w[:, i, None, i]
-    return x.astype(np.complex128), live
 
 
 def random_stack(rng, count, n):
@@ -86,31 +32,31 @@ class TestStackedSolve:
         rng = np.random.default_rng(20 + n)
         a = random_stack(rng, 300, n)
         b = rng.normal(size=(300, n, 3)) + 1j * rng.normal(size=(300, n, 3))
-        swapped = np.abs(a[:, :, 0]).argmax(axis=1) != 0
-        assert swapped.sum() > 100
         x = solve_extended(a, b)
         assert x.shape == (300, n, 3) and x.dtype == np.complex128
         for j in range(300):
-            lone = solve_extended(a[j], b[j])
-            assert lone.tobytes() == x[j].tobytes()
-            assert lone.tobytes() == reference_solve(a[j], b[j]).tobytes()
+            assert solve_extended(a[j], b[j]).tobytes() == x[j].tobytes()
+        # each member is solved to the accuracy its condition number allows
+        residual = np.abs(a @ x - b).max(axis=(1, 2))
+        scale = np.abs(a).max(axis=(1, 2)) * np.abs(x).max(axis=(1, 2))
+        assert (residual <= 1e-12 * scale).all()
 
     def test_vector_right_hand_sides(self):
+        # an (N, n) right-hand side is N vectors, as under every numpy version
         rng = np.random.default_rng(5)
         a = random_stack(rng, 40, 5)
         b = rng.normal(size=(40, 5)) + 1j * rng.normal(size=(40, 5))
         x = solve_extended(a, b)
-        assert x.shape == (40, 5)
+        assert x.shape == (40, 5) and x.dtype == np.complex128
+        columns = solve_extended(a, b[..., None])
         for j in range(40):
-            assert x[j].tobytes() == reference_solve(a[j], b[j][:, None])[:, 0].tobytes()
+            assert x[j].tobytes() == solve_extended(a[j], b[j]).tobytes()
+            assert x[j].tobytes() == columns[j, :, 0].tobytes()
         assert solve_extended(a[7], list(b[7])).tobytes() == x[7].tobytes()
-
-    def test_zero_multiplier_leaves_its_row_untouched(self):
-        # The update of row 1 is skipped, not done as a subtraction of
-        # 0 * row 0, which would put 0 * inf = nan into it.
-        a = np.array([[[1.0, np.inf], [0.0, 2.0]], [[1.0, 0.0], [0.0, 2.0]]])
-        x = solve_extended(a, np.array([[1.0, 4.0], [1.0, 4.0]]))
-        assert x[0, 1] == 2.0 and x[1].tolist() == [1.0, 2.0]
+        square = random_stack(rng, 5, 5)   # N = n, where the two readings differ in shape alone
+        x = solve_extended(square, b[:5])
+        for j in range(5):
+            assert x[j].tobytes() == solve_extended(square[j], b[j]).tobytes()
 
     def test_singular_member_raises_with_its_index(self):
         rng = np.random.default_rng(9)
@@ -127,104 +73,6 @@ class TestStackedSolve:
         with pytest.raises(NetworkDegeneracyError) as err:
             solve_extended(np.zeros((3, 3)), np.ones(3))
         assert err.value.index == 0
-
-
-class TestLoneSolve:
-    """A lone system has the bits of a stack member and of the textbook elimination."""
-
-    @pytest.mark.parametrize("n", [3, 5])
-    @pytest.mark.parametrize("special", ["none", "inf", "nan"])
-    def test_lone_system_matches_stack_member_and_reference(self, n, special):
-        rng = np.random.default_rng(40 + n)
-        a = random_stack(rng, 120, n)
-        a[::3, 1:, 0] = 0.0                  # zero multipliers at the first pivot
-        a[::3, 0, 0] = 1.0
-        a[::3, 1:, 1:] += np.eye(n - 1)      # the rest stays regular
-        if special != "none":
-            a[rng.random(a.shape) < 0.04] = np.inf if special == "inf" else np.nan
-        b = rng.normal(size=(120, n, 2)) + 1j * rng.normal(size=(120, n, 2))
-        for rhs in (b, b[..., 0]):
-            solved = []
-            for j in range(120):
-                try:
-                    lone = solve_extended(a[j], rhs[j])
-                except NetworkDegeneracyError as err:   # an exact zero pivot, as inf entries give
-                    assert err.index == 0
-                    with pytest.raises(NetworkDegeneracyError):
-                        solve_extended(a[j:j + 1], rhs[j:j + 1])
-                    continue
-                assert lone.shape == rhs[j].shape and lone.dtype == np.complex128
-                ref = reference_solve(a[j], rhs[j].reshape(n, -1)).reshape(lone.shape)
-                assert lone.tobytes() == ref.tobytes()
-                solved.append((j, lone))
-            assert len(solved) > 100
-            members = [j for j, _ in solved]
-            x = solve_extended(a[members], rhs[members])
-            assert all(lone.tobytes() == x[i].tobytes() for i, (_, lone) in enumerate(solved))
-
-    def test_signed_zeros(self):
-        # signed zeros on the right-hand side come through as the textbook elimination has them
-        a = np.array([[1.0, -1.0, 2.0], [0.0, -1.0, 1.0], [0.0, 0.0, 1.0]], dtype=complex)
-        zeros = [complex(re, im) for re in (0.0, -0.0) for im in (0.0, -0.0)]
-        b = np.array(list(itertools.product(zeros, repeat=3)))
-        x = solve_extended(np.broadcast_to(a, (len(b), 3, 3)), b)
-        for j in range(len(b)):
-            lone = solve_extended(a, b[j])
-            assert lone.tobytes() == x[j].tobytes()
-            assert lone.tobytes() == reference_solve(a, b[j][:, None])[:, 0].tobytes()
-
-    def test_nan_pivot_is_taken_first(self):
-        # argmax takes the first NaN as the largest magnitude, as the textbook elimination does
-        a = np.array([[1.0, 2.0, 0.0], [np.nan, 1.0, 1.0], [5.0, np.nan, 1.0]], dtype=complex)
-        b = np.array([1.0, 2.0, 3.0])
-        assert solve_extended(a, b).tobytes() == reference_solve(a, b[:, None])[:, 0].tobytes()
-
-
-class TestRowSkipping:
-    """Rows whose multiplier is zero in every member are skipped, with the same bits."""
-
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_rows_dead_in_all_or_some_members(self, n):
-        rng = np.random.default_rng(60 + n)
-        a = random_stack(rng, 200, n)
-        a[:, 0, 0] = 1e9                               # row 0 is every member's first pivot
-        a[:, n - 1, 0] = 0.0                           # a zero multiplier in every member
-        a[:100, 1, 0] = 0.0                            # a zero multiplier in half of them,
-        a[:100, 0, n - 1] = np.inf                     # which must not add 0 * inf to row 1
-        a[:, range(1, n), range(1, n)] += 1.0          # the rest stays regular
-        b = rng.normal(size=(200, n, 3)) + 1j * rng.normal(size=(200, n, 3))
-        expected, live = every_row_stack_solve(a, b)
-        assert live[0] == n - 2
-        assert solve_extended(a, b).tobytes() == expected.tobytes()
-
-    def test_dead_row_between_live_runs(self):
-        rng = np.random.default_rng(70)
-        a = random_stack(rng, 50, 5)
-        a[:, 0, 0] = 1e9                               # row 0 is every member's first pivot
-        a[:, 2, 0] = 0.0                               # live rows 1, 3 and 4 around a dead row 2
-        a[:, [1, 3, 4], 0] = 1.0
-        b = rng.normal(size=(50, 5)) + 0j
-        expected, live = every_row_stack_solve(a, b[..., None])
-        assert live[0] == 3
-        assert solve_extended(a, b).tobytes() == expected[..., 0].tobytes()
-
-    def test_nodal_stacks_of_seeded_designs(self):
-        f = FrequencyGrid.logarithmic(1e6, 100e9, 2001).points
-        rhs = np.zeros((5, 3))
-        rhs[PORT_INDEX, range(3)] = 1.0
-        for seed in range(20):
-            scale = 1.15 ** np.random.default_rng(seed).uniform(-1.0, 1.0, 4)
-            geom = replace(DEFAULT_GEOMETRY, height=DEFAULT_GEOMETRY.height * scale[0],
-                           radius=DEFAULT_GEOMETRY.radius * scale[1],
-                           pitch=DEFAULT_GEOMETRY.pitch * scale[2])
-            mat = replace(DEFAULT_MATERIALS, sigma_si=DEFAULT_MATERIALS.sigma_si * scale[3])
-            elements = rlgc_at(f, geom, mat)
-            y = nodal_admittance(f, elements, elements.r_half)
-            b = np.broadcast_to(rhs, y.shape[:-1] + (3,))
-            expected, live = every_row_stack_solve(y, b)
-            assert live == [1, 2, 1, 1]
-            for piece in pieces(len(f)):
-                assert solve_extended(y[piece], b[piece]).tobytes() == expected[piece].tobytes()
 
 
 class TestConditionNumber:
