@@ -17,10 +17,9 @@ from .rlgc import (RlgcElements, c_d, c_ox, c_si_g_si, depletion_width, l_tsv,
 from .sparams import (SSweep, ThreePortS, magnitude_db, max_singular_value,
                       modal_s, s_sweep, s_sweep_csv, s_to_z, z_to_s)
 from .spur import (BUILTIN_CALIBRATION_POINTS, CalibrationResult, OscillatorModel,
-                   SpurScenario, amplitude_sweep, builtin_oscillator,
-                   calibrate_k_sub, frequency_sweep, modulation_index,
-                   scenario_for, slope_per_octave, spur_dbc,
-                   substrate_transfer, substrate_transfer_mna)
+                   amplitude_sweep, builtin_oscillator, calibrate_k_sub, frequency_sweep,
+                   modulation_index, slope_per_octave, spur_dbc, substrate_transfer,
+                   substrate_transfer_mna)
 from .touchstone import TouchstoneDocument, read_s3p, write_s3p
 
 __all__ = [name for name in dir() if not name.startswith("_")]

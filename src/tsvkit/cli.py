@@ -91,6 +91,17 @@ def _pick(args, values, key, default):
         raise ConfigError(f"{key} = {values[key]!r} is not a {kind.__name__}") from None
 
 
+def _print_json(summary):
+    """Print ``summary`` as strict JSON: a non-finite number is written as null."""
+    def finite(value):
+        if isinstance(value, dict):
+            return {key: finite(v) for key, v in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(v) for v in value]
+        return None if isinstance(value, float) and not np.isfinite(value) else value
+    print(json.dumps(finite(summary), sort_keys=True, allow_nan=False))
+
+
 def _write_text(path, text):
     with open(path, "w", encoding="ascii", newline="\n") as fh:
         fh.write(text)
@@ -157,7 +168,7 @@ def cmd_extract(args) -> int:
         "elements": {f"{k}_{ELEMENT_UNITS[k].lower()}": v for k, v in elements.items()},
     }
     if args.json:
-        print(json.dumps(summary, sort_keys=True))
+        _print_json(summary)
     else:
         print("element     value            unit")
         for name, value in elements.items():
@@ -188,8 +199,7 @@ def cmd_sweep(args) -> int:
     if args.out:
         _write_text(args.out, text)
     if args.json:
-        print(json.dumps({"param": param, "metric": args.metric,
-                          "rows": rows, "out": args.out}, sort_keys=True))
+        _print_json({"param": param, "metric": args.metric, "rows": rows, "out": args.out})
     elif args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
@@ -272,7 +282,7 @@ def cmd_spur(args) -> int:
         summary["sideband_first_hz"] = osc.f_osc + rows[0][0]
         summary["sideband_last_hz"] = osc.f_osc + rows[-1][0]
     if args.json:
-        print(json.dumps(summary, sort_keys=True))
+        _print_json(summary)
     else:
         if not args.out:
             print(text, end="")
@@ -347,7 +357,7 @@ def cmd_validate(args) -> int:
 
     passed = all(c["passed"] for c in checks)
     if args.json:
-        print(json.dumps({"checks": checks, "passed": passed}, sort_keys=True))
+        _print_json({"checks": checks, "passed": passed})
     else:
         for c in checks:
             print(f"{'PASS' if c['passed'] else 'FAIL'} {c['name']}: {c['detail']}")

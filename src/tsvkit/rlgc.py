@@ -28,41 +28,26 @@ PITCH_RATIO_FLOOR = 1e-12    # on p/(2r) - 1
 class RlgcElements:
     """Lumped element values of the three-port network.
 
-    Only the resistance depends on frequency: ``r_total``, ``r_half`` and
-    ``frequency`` are floats at one frequency and (N,) arrays over a vector
-    of them; capacitances, conductance and inductance are constants.
+    Only the resistance depends on frequency: ``r_half`` is a float at one
+    frequency and an (N,) array over a vector of them; the other five
+    values are constants.
     """
 
-    r_total: float    # ohm, full via, at `frequency`
     r_half: float     # ohm, one vertical half-segment (r_total / 2)
-    l_total: float    # H, full via
-    l_half: float     # H, one half-segment (l_total / 2)
+    l_half: float     # H, one half-segment (l_tsv / 2)
     c_ox: float       # F, liner capacitance
     c_d: float        # F, depletion capacitance
     c_si: float       # F, lateral substrate capacitance
     g_si: float       # S, lateral substrate conductance
-    frequency: float  # Hz
 
     def __post_init__(self):
-        # Plain float comparisons for scalars: the spur sweeps build a record per point.
-        for name in ("l_total", "l_half", "c_ox", "c_d", "c_si", "g_si"):
-            value = getattr(self, name)
-            if not (value > 0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        for name in ("r_total", "r_half", "frequency"):
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                if not (value.ndim == 1 and (value > 0).all() and np.isfinite(value).all()
-                        and np.shape(self.r_total) == np.shape(self.r_half)
-                        == np.shape(self.frequency)):
-                    raise ValidationError(f"{name} must be a 1-D array of finite positive "
-                                          "values, one per frequency")
+        # Plain float comparisons for scalars: they cost a fraction of numpy's.
+        for name, value in vars(self).items():
+            if name == "r_half" and isinstance(value, np.ndarray):
+                if not (value.ndim == 1 and (value > 0).all() and np.isfinite(value).all()):
+                    raise ValidationError("r_half must be a 1-D array of finite positive values")
             elif not (value > 0 and math.isfinite(value)):
                 raise ValidationError(f"{name} must be finite and positive, got {value!r}")
-        halves = (np.array_equal(self.r_half, self.r_total / 2)
-                  if isinstance(self.frequency, np.ndarray) else self.r_half == self.r_total / 2)
-        if not halves or self.l_half != self.l_total / 2:
-            raise ValidationError("half-segment values must be exactly half the totals")
 
 
 def _sqrt(x):
@@ -82,8 +67,10 @@ def skin_depth(f, mat: MaterialParams):
     ``f`` is a frequency in Hz or an array of them.
     """
     if isinstance(f, np.ndarray):
-        if not (np.all(f > 0) and np.isfinite(f).all()):
-            raise ValidationError("frequencies must be finite and positive")
+        bad = ~((f > 0) & np.isfinite(f))
+        if bad.any():
+            f = f[bad][0].item()   # named as a plain number, not its numpy repr
+            raise ValidationError(f"frequency must be finite and positive, got {f!r}")
     elif not (f > 0 and math.isfinite(f)):
         raise ValidationError(f"frequency must be finite and positive, got {f!r}")
     return _sqrt(mat.rho_cu / (math.pi * f * mat.mu_r * MU_0))
@@ -170,17 +157,7 @@ def l_tsv(geom: TsvGeometry, mat: MaterialParams) -> float:
 
 def rlgc_at(f, geom: TsvGeometry, mat: MaterialParams) -> RlgcElements:
     """All element values at ``f`` Hz (one frequency or an (N,) array), bundled."""
-    r_tot = r_total(f, geom, mat)
-    l_tot = l_tsv(geom, mat)
     cap_si, cond_si = c_si_g_si(geom, mat)
-    return RlgcElements(
-        r_total=r_tot,
-        r_half=r_tot / 2.0,
-        l_total=l_tot,
-        l_half=l_tot / 2.0,
-        c_ox=c_ox(geom, mat),
-        c_d=c_d(geom, mat, depletion_width(mat)),
-        c_si=cap_si,
-        g_si=cond_si,
-        frequency=f,
-    )
+    return RlgcElements(r_half=r_total(f, geom, mat) / 2.0, l_half=l_tsv(geom, mat) / 2.0,
+                        c_ox=c_ox(geom, mat), c_d=c_d(geom, mat, depletion_width(mat)),
+                        c_si=cap_si, g_si=cond_si)

@@ -12,6 +12,8 @@ First sideband level relative to the carrier, small modulation index:
     beta       = k_sub * V_sub_peak / f_agg
     spur_dbc   = 20*log10(beta / 2)
 
+Each function works elementwise over arrays, so a sweep is one array pass; a
+beta past ``BETA_WARN``/``BETA_LIMIT`` is reported once, at the worst point.
 ``k_sub`` is a calibration parameter, fitted from reference spur measurements
 (`calibrate_k_sub`).  Amplitude-to-amplitude behavior is exactly 6.02 dB per
 octave; frequency behavior combines the 1/f_agg FM roll-off with the
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
@@ -62,33 +65,9 @@ class OscillatorModel:
         _require_positive_fields(self)
 
 
-@dataclass(frozen=True)
-class SpurScenario:
-    """One aggressor configuration and its substrate transfer."""
-
-    aggressor_amplitude: float    # V peak-to-peak
-    aggressor_frequency: float    # Hz
-    tsv_transfer: complex         # substrate-port voltage per volt at port 1
-
-    def __post_init__(self):
-        if not (is_finite_real(self.aggressor_amplitude) and self.aggressor_amplitude >= 0):
-            raise ValidationError(
-                f"aggressor_amplitude must be finite and >= 0, got {self.aggressor_amplitude!r}")
-        if not (is_finite_real(self.aggressor_frequency) and self.aggressor_frequency > 0):
-            raise ValidationError(
-                f"aggressor_frequency must be finite and positive, "
-                f"got {self.aggressor_frequency!r}")
-        h = self.tsv_transfer
-        if not (is_finite_real(h) or (isinstance(h, complex) and cmath.isfinite(h))):
-            raise ValidationError(f"tsv_transfer must be a finite number, got {h!r}")
-        if abs(h) > 1.0 + 1e-9:
-            raise ValidationError(f"|tsv_transfer| = {abs(h)} exceeds 1: not a passive transfer")
-
-
-def substrate_transfer(f: float, geom: TsvGeometry, mat: MaterialParams,
-                       termination: float = 50.0,
-                       substrate_load: float | None = None) -> complex:
-    """Voltage at the substrate port per volt at port 1, closed form.
+def substrate_transfer(f, geom: TsvGeometry, mat: MaterialParams,
+                       termination: float = 50.0, substrate_load: float | None = None):
+    """Substrate-port voltage per volt at port 1 at ``f`` Hz (or an (N,) array), closed form.
 
     Port 3 is terminated in ``termination``; the substrate port carries
     ``substrate_load`` to ground (None = open).  At low frequency the lateral
@@ -102,22 +81,22 @@ def substrate_transfer(f: float, geom: TsvGeometry, mat: MaterialParams,
     if substrate_load is not None and not (substrate_load > 0 and math.isfinite(substrate_load)):
         raise ValidationError(
             f"substrate_load must be positive, finite or None, got {substrate_load!r}")
-    el = rlgc_at(f, geom, mat)
-    # float(): a numpy scalar frequency would carry the algebra in slower numpy scalars
-    z_seg, z_lat, z_stack = branch_impedances(float(f), el)
+    if isinstance(f, np.generic):
+        f = float(f)   # a numpy scalar would carry the algebra in slower numpy scalars
+    z_seg, z_lat, z_stack = branch_impedances(f, rlgc_at(f, geom, mat))
     z_down = z_stack if substrate_load is None else \
         z_stack * substrate_load / (z_stack + substrate_load)
-    y_sub_path = 1.0 / (z_lat + z_down)
+    z_sub_path = z_lat + z_down
+    y_sub_path = 1.0 / z_sub_path
     y_thru_path = 1.0 / (z_seg + termination)
-    v2_over_vm = z_down / (z_lat + z_down)
+    v2_over_vm = z_down / z_sub_path
     vm_over_v1 = 1.0 / (1.0 + z_seg * (y_sub_path + y_thru_path))
     return v2_over_vm * vm_over_v1
 
 
-def substrate_transfer_mna(f: float, geom: TsvGeometry, mat: MaterialParams,
-                           termination: float = 50.0,
-                           substrate_load: float | None = None) -> complex:
-    """Same transfer by nodal analysis, termination and load as branches; verification route."""
+def substrate_transfer_mna(f, geom: TsvGeometry, mat: MaterialParams,
+                           termination: float = 50.0, substrate_load: float | None = None):
+    """Same transfer by nodal analysis (an (N,) ``f`` as one stack); verification route."""
     el = rlgc_at(f, geom, mat)
     p1, p2, p3 = PORT_INDEX
     loads = [(p3, None, 1.0 / termination)]
@@ -125,68 +104,85 @@ def substrate_transfer_mna(f: float, geom: TsvGeometry, mat: MaterialParams,
         loads.append((p2, None, 1.0 / substrate_load))
     rhs = np.zeros((NODES, 1))
     rhs[p1] = 1.0
-    v = nodal_solve(nodal_branches(f, el, el.r_half) + loads, rhs)[:, 0]
-    return complex(v[p2] / v[p1])
+    v = nodal_solve(nodal_branches(f, el, el.r_half) + loads, rhs)[..., 0]
+    h = v[..., p2] / v[..., p1]
+    return h if h.ndim else complex(h)
 
 
-def scenario_for(f_agg: float, amplitude_vpp: float, geom: TsvGeometry,
-                 mat: MaterialParams, termination: float = 50.0,
-                 substrate_load: float | None = REPLICA_SUBSTRATE_LOAD) -> SpurScenario:
-    """Build a :class:`SpurScenario` with the transfer evaluated at f_agg."""
-    return SpurScenario(
-        aggressor_amplitude=amplitude_vpp,
-        aggressor_frequency=f_agg,
-        tsv_transfer=substrate_transfer(f_agg, geom, mat, termination, substrate_load),
-    )
+def _require(name, value, rule, lowest=0.0, highest=sys.float_info.max, kinds="fiu"):
+    """Raise a ValidationError unless ``value`` is finite and within [lowest, highest].
+
+    ``value`` is a real number or array (complex if "c" is in ``kinds``: its
+    magnitude is bounded); the error names the first value outside, as a plain number.
+    """
+    magnitude = abs if "c" in kinds else (lambda v: v)
+    if isinstance(value, np.ndarray) and value.dtype.kind in kinds:
+        m = magnitude(value)
+        if not m.size or (lowest <= m.min() and m.max() <= highest):
+            return
+        value = value[~((m >= lowest) & (m <= highest))][0]
+    elif is_finite_real(value) or ("c" in kinds and isinstance(value, complex)
+                                   and cmath.isfinite(value)):
+        if lowest <= magnitude(value) <= highest:
+            return
+    if isinstance(value, np.generic):
+        value = value.item()
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
-def bessel_j0(x: float) -> float:
-    """Series J0 for small arguments (converges fast for |x| <= 4)."""
-    term = 1.0
-    total = 1.0
+def bessel_j0(x):
+    """Series J0 for small arguments (converges fast for |x| <= 4), elementwise."""
+    term = total = 1.0 + 0.0 * x
     q = 0.25 * x * x
     m = 0
-    while abs(term) > 1e-18:
+    while np.max(abs(term), initial=0.0) > 1e-18:
         m += 1
-        term *= -q / (m * m)
-        total += term
+        term = term * (-q / (m * m))
+        total = total + term
     return total
 
 
-def bessel_j1(x: float) -> float:
-    """Series J1 for small arguments (converges fast for |x| <= 4)."""
-    term = 0.5 * x
-    total = term
+def bessel_j1(x):
+    """Series J1 for small arguments (converges fast for |x| <= 4), elementwise."""
+    term = total = 0.5 * x
     q = 0.25 * x * x
     m = 0
-    while abs(term) > 1e-18:
+    while np.max(abs(term), initial=0.0) > 1e-18:
         m += 1
-        term *= -q / (m * (m + 1))
-        total += term
+        term = term * (-q / (m * (m + 1)))
+        total = total + term
     return total
 
 
-def modulation_index(osc: OscillatorModel, scen: SpurScenario) -> float:
-    v_peak = abs(scen.tsv_transfer) * scen.aggressor_amplitude / 2.0
-    return osc.k_sub * v_peak / scen.aggressor_frequency
+def modulation_index(osc: OscillatorModel, amplitude, f_agg, h):
+    """Modulation index of ``amplitude`` V peak-to-peak at ``f_agg`` Hz through transfer ``h``."""
+    _require("amplitude", amplitude, "finite and >= 0")
+    _require("f_agg", f_agg, "finite and positive", lowest=5e-324)
+    _require("h", h, "a finite passive transfer (|h| <= 1)", highest=1.0 + 1e-9, kinds="fiuc")
+    return osc.k_sub * (abs(h) * amplitude / 2.0) / f_agg
 
 
-def spur_dbc(osc: OscillatorModel, scen: SpurScenario, exact_bessel: bool = False) -> float:
-    """First upper-sideband level in dBc.  Zero aggressor returns -inf."""
-    beta = modulation_index(osc, scen)
-    if beta >= BETA_LIMIT:
-        raise ModelValidityError(
-            f"modulation index beta = {beta:.3f} >= {BETA_LIMIT}: outside the "
-            "sideband model's validity")
-    if beta >= BETA_WARN:
-        warnings.warn(
-            f"modulation index beta = {beta:.3f} >= {BETA_WARN}: narrowband "
-            "approximation degrading", NarrowbandWarning, stacklevel=2)
-    if beta == 0.0:
-        return float("-inf")
-    if exact_bessel:
-        return 20.0 * math.log10(bessel_j1(beta) / bessel_j0(beta))
-    return 20.0 * math.log10(beta / 2.0)
+def _check_beta(beta, amplitude, f_agg) -> None:
+    """One ModelValidityError or NarrowbandWarning naming the worst beta and its point."""
+    worst = beta.max(initial=0.0) if isinstance(beta, np.ndarray) else beta   # beta >= 0
+    if worst < BETA_WARN:
+        return
+    k = np.argmax(beta)
+    a, f = (float(np.broadcast_to(v, np.shape(beta)).flat[k]) for v in (amplitude, f_agg))
+    where = f"modulation index beta = {worst:.3f} at {a:.4g} Vpp, {f:.4g} Hz"
+    if worst >= BETA_LIMIT:
+        raise ModelValidityError(f"{where} is >= {BETA_LIMIT}: outside the sideband "
+                                 "model's validity")
+    warnings.warn(f"{where} is >= {BETA_WARN}: narrowband approximation degrading",
+                  NarrowbandWarning, stacklevel=3)
+
+
+def spur_dbc(osc: OscillatorModel, amplitude, f_agg, h, exact_bessel: bool = False):
+    """First upper-sideband level in dBc, elementwise over arrays.  Zero amplitude gives -inf."""
+    beta = modulation_index(osc, amplitude, f_agg, h)
+    _check_beta(beta, amplitude, f_agg)
+    with np.errstate(divide="ignore"):   # beta = 0 is -inf dBc
+        return 20.0 * np.log10(bessel_j1(beta) / bessel_j0(beta) if exact_bessel else beta / 2.0)
 
 
 @dataclass(frozen=True)
@@ -205,37 +201,39 @@ def calibrate_k_sub(points, geom: TsvGeometry, mat: MaterialParams,
     """Least-squares fit of k_sub to reference (A_pp, f_agg, spur_dbc) points.
 
     In the log domain the model is spur = 20*log10(k_sub) + offset(A, f), so
-    the fit is a mean over points.  A residual spread above
-    ``RESIDUAL_SPREAD_WARN`` dB triggers :class:`CalibrationWarning`.
+    the fit is a mean over points.  Each point needs a finite positive
+    amplitude and frequency and a finite level, and must imply a k_sub in
+    floating-point range.  A residual spread above ``RESIDUAL_SPREAD_WARN``
+    dB triggers :class:`CalibrationWarning`.
     """
-    points = list(points)
+    points = [tuple(point) for point in points]
     if not points:
         raise ValidationError("need at least one reference point")
-    offsets = []
-    for amplitude, f_agg, level in points:
-        if amplitude <= 0:
-            raise ValidationError(f"reference amplitude must be positive, got {amplitude!r}")
-        h = abs(substrate_transfer(f_agg, geom, mat, termination, substrate_load))
-        offsets.append(20.0 * math.log10(h * amplitude / (4.0 * f_agg)))
-    k_db = sum(level - off for (_, _, level), off in zip(points, offsets)) / len(points)
-    k_sub = 10.0 ** (k_db / 20.0)
-    residuals = tuple(level - (k_db + off) for (_, _, level), off in zip(points, offsets))
-    spread = max(residuals) - min(residuals)
-    if spread > RESIDUAL_SPREAD_WARN:
+    for point in points:
+        if not (len(point) == 3 and all(map(is_finite_real, point))
+                and point[0] > 0 and point[1] > 0):
+            raise ValidationError(f"reference point {point!r} needs a finite positive "
+                                  "amplitude and frequency and a finite level")
+    amplitude, f_agg, level = np.array(points, dtype=float).T
+    # one scalar transfer per point: a one-point calibration cannot repay the array path
+    h = np.array([abs(substrate_transfer(f, geom, mat, termination, substrate_load))
+                  for f in f_agg.tolist()])
+    with np.errstate(all="ignore"):   # out of range shows as a k_sub that is not finite
+        offsets = 20.0 * np.log10(h * amplitude / (4.0 * f_agg))
+        k_db = (level - offsets).sum() / len(points)
+        k_sub = float(10.0 ** (k_db / 20.0))
+    if not 0.0 < k_sub < math.inf:
+        worst = np.argmax(np.nan_to_num(abs(level - offsets), nan=np.inf))
+        raise ValidationError(f"reference point {points[worst]!r} implies a k_sub outside "
+                              "the floating-point range")
+    fitted = k_db + offsets
+    residuals = (level - fitted).tolist()
+    if max(residuals) - min(residuals) > RESIDUAL_SPREAD_WARN:
         warnings.warn(
             "inconsistent reference points, residuals [dB]: "
             + ", ".join(f"{r:+.2f}" for r in residuals), CalibrationWarning, stacklevel=2)
-    for (amplitude, f_agg, _), off in zip(points, offsets):
-        beta = 2.0 * 10.0 ** ((k_db + off) / 20.0)
-        if beta >= BETA_LIMIT:
-            raise ModelValidityError(
-                f"reference point at {f_agg:.4g} Hz implies beta = {beta:.3f} "
-                f">= {BETA_LIMIT}")
-        if beta >= BETA_WARN:
-            warnings.warn(
-                f"reference point at {f_agg:.4g} Hz implies beta = {beta:.3f} "
-                f">= {BETA_WARN}", NarrowbandWarning, stacklevel=2)
-    return CalibrationResult(k_sub=k_sub, residuals_db=residuals)
+    _check_beta(2.0 * 10.0 ** (fitted / 20.0), amplitude, f_agg)
+    return CalibrationResult(k_sub=k_sub, residuals_db=tuple(residuals))
 
 
 def builtin_oscillator(geom: TsvGeometry, mat: MaterialParams,
@@ -246,19 +244,19 @@ def builtin_oscillator(geom: TsvGeometry, mat: MaterialParams,
     return OscillatorModel(k_sub=cal.k_sub)
 
 
+def _rows(swept, levels) -> list[tuple[float, float]]:
+    return list(zip(swept.astype(float).tolist(), levels.tolist()))
+
+
 def amplitude_sweep(osc: OscillatorModel, geom: TsvGeometry, mat: MaterialParams,
                     amplitudes, f_agg: float = 1e9,
                     termination: float = 50.0,
                     substrate_load: float | None = REPLICA_SUBSTRATE_LOAD,
                     exact_bessel: bool = False) -> list[tuple[float, float]]:
-    """Spur level vs aggressor amplitude at a fixed aggressor frequency."""
+    """(amplitude, spur dBc) rows at a fixed aggressor frequency, in one array pass."""
+    amplitudes = np.asarray(amplitudes)
     h = substrate_transfer(f_agg, geom, mat, termination, substrate_load)
-    out = []
-    for amplitude in amplitudes:
-        scen = SpurScenario(aggressor_amplitude=amplitude, aggressor_frequency=f_agg,
-                            tsv_transfer=h)
-        out.append((float(amplitude), spur_dbc(osc, scen, exact_bessel)))
-    return out
+    return _rows(amplitudes, spur_dbc(osc, amplitudes, f_agg, h, exact_bessel))
 
 
 def frequency_sweep(osc: OscillatorModel, geom: TsvGeometry, mat: MaterialParams,
@@ -266,23 +264,21 @@ def frequency_sweep(osc: OscillatorModel, geom: TsvGeometry, mat: MaterialParams
                     termination: float = 50.0,
                     substrate_load: float | None = REPLICA_SUBSTRATE_LOAD,
                     exact_bessel: bool = False) -> list[tuple[float, float]]:
-    """Spur level vs aggressor frequency at a fixed peak-to-peak amplitude."""
-    out = []
-    for f_agg in frequencies:
-        scen = scenario_for(f_agg, amplitude_vpp, geom, mat, termination, substrate_load)
-        out.append((float(f_agg), spur_dbc(osc, scen, exact_bessel)))
-    return out
+    """(frequency, spur dBc) rows at a fixed peak-to-peak amplitude, in one array pass."""
+    frequencies = np.asarray(frequencies)
+    h = substrate_transfer(frequencies, geom, mat, termination, substrate_load)
+    return _rows(frequencies, spur_dbc(osc, amplitude_vpp, frequencies, h, exact_bessel))
 
 
-def slope_per_octave(sweep: list[tuple[float, float]]) -> float:
-    """Least-squares slope of level against log2 of the swept variable."""
-    finite = [(x, y) for x, y in sweep if math.isfinite(y)]
-    if len(finite) < 2:
+def slope_per_octave(sweep) -> float:
+    """Least-squares slope of level against log2 of the swept variable, over finite levels."""
+    x, y = np.asarray(sweep, dtype=float).reshape(-1, 2).T
+    keep = np.isfinite(y)
+    if keep.sum() < 2:
         raise ValidationError("need at least two finite sweep points for a slope")
-    xs = [math.log2(x) for x, _ in finite]
-    ys = [y for _, y in finite]
-    n = len(xs)
-    mean_x = sum(xs) / n
-    mean_y = sum(ys) / n
-    denom = sum((x - mean_x) ** 2 for x in xs)
-    return sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
+    x = np.log2(x[keep])
+    x -= x.mean()
+    denom = (x * x).sum()
+    if not denom:
+        raise ValidationError("need two distinct swept values for a slope")
+    return float((x * (y[keep] - y[keep].mean())).sum() / denom)

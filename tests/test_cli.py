@@ -271,6 +271,53 @@ class TestSpur:
         assert summary["calibration_residuals_db"] is None
 
 
+    @pytest.mark.parametrize("cal_point", ["0.1:1e9:1e308", "1e-320:1e9:-30"])
+    def test_cal_point_out_of_range_is_one_error_line(self, capsys, cal_point):
+        code, out, err = run(capsys, "spur", "--mode", "amplitude", "--cal-point", cal_point)
+        assert code == 2 and out == ""
+        point = repr(tuple(float(v) for v in cal_point.split(":")))
+        assert err == f"error: reference point {point} implies a k_sub outside the " \
+                      "floating-point range\n"
+
+    @pytest.mark.parametrize("cal_point", ["nan:1e9:-30", "0.1:1e9:nan", "0:1e9:-30"])
+    def test_cal_point_not_finite_is_one_error_line(self, capsys, cal_point):
+        code, out, err = run(capsys, "spur", "--mode", "amplitude", "--cal-point", cal_point)
+        assert code == 2 and out == ""
+        assert err.startswith("error: reference point (") and err.count("\n") == 1
+        assert "needs a finite positive amplitude and frequency and a finite level" in err
+
+    def test_bad_frequency_named_as_a_plain_number(self, capsys):
+        code, _, err = run(capsys, "spur", "--mode", "frequency", "--start", "0", "--stop", "1e9")
+        assert code == 2
+        assert err == "error: frequency must be finite and positive, got 0.0\n"
+
+    @pytest.mark.parametrize("stop, steps", [("0.7", "8"), ("0", "7")])
+    def test_json_of_a_zero_amplitude_is_strict(self, capsys, stop, steps):
+        code, out, _ = run(capsys, "spur", "--mode", "amplitude", "--start", "0",
+                           "--stop", stop, "--steps", steps, "--json")
+        assert code == 0
+        summary = json.loads(out, parse_constant=strict_constant)
+        assert summary["first"] == {"spur_dbc": None, "swept": 0.0}
+        assert summary["total_change_db"] is None
+
+
+def strict_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+@pytest.mark.parametrize("argv", [
+    ["extract", "--points", "5", "--json"],
+    ["sweep", "--param", "radius", "--start", "1e-6", "--stop", "4e-6", "--steps", "3",
+     "--metric", "s21_db", "--json"],
+    ["spur", "--mode", "frequency", "--json"],
+    ["validate", "--f-stop", "1e30", "--points", "11", "--json"]])
+def test_every_json_summary_is_strict(tmp_path, monkeypatch, capsys, argv):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1) and out.count("\n") == 1
+    json.loads(out, parse_constant=strict_constant)
+
+
 class TestValidate:
     def test_all_checks_pass(self, capsys):
         code, out, _ = run(capsys, "validate", "--points", "41")

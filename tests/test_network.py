@@ -265,8 +265,7 @@ class TestStackedMna:
 
     def test_rejects_degenerate_resistance_array(self):
         f = np.array([1e8, 1e9])
-        r_total = np.array([2.0, MIN_ELEMENT / 5])
-        el = elements_with(r_total=r_total, r_half=r_total / 2, frequency=f)
+        el = elements_with(r_half=np.array([1.0, MIN_ELEMENT / 10]))
         with pytest.raises(ValidationError, match="r_half"):
             z_matrix_mna(f, el)
 

@@ -207,22 +207,21 @@ class TestProperties:
     @given(f=frequencies)
     def test_all_outputs_finite_positive(self, f):
         el = rlgc_at(f, GEOM, MAT)
-        for name in ("r_total", "r_half", "l_total", "l_half", "c_ox", "c_d", "c_si", "g_si"):
-            value = getattr(el, name)
+        for field in fields(RlgcElements):
+            value = getattr(el, field.name)
             assert math.isfinite(value) and value > 0
 
 
 class TestBundle:
     def test_rlgc_at_matches_componentwise(self):
         el = rlgc_at(1e9, GEOM, MAT)
-        assert el.r_total == r_total(1e9, GEOM, MAT)
-        assert el.r_half == el.r_total / 2
-        assert el.l_total == l_tsv(GEOM, MAT)
-        assert el.l_half == el.l_total / 2
+        assert [field.name for field in fields(RlgcElements)] == \
+            ["r_half", "l_half", "c_ox", "c_d", "c_si", "g_si"]
+        assert el.r_half == r_total(1e9, GEOM, MAT) / 2
+        assert el.l_half == l_tsv(GEOM, MAT) / 2
         assert el.c_ox == c_ox(GEOM, MAT)
         assert el.c_d == c_d(GEOM, MAT, depletion_width(MAT))
         assert (el.c_si, el.g_si) == c_si_g_si(GEOM, MAT)
-        assert el.frequency == 1e9
 
     def test_pure_function_bit_identical(self):
         assert rlgc_at(3.7e9, GEOM, MAT) == rlgc_at(3.7e9, GEOM, MAT)
@@ -230,14 +229,15 @@ class TestBundle:
     def test_only_resistance_varies_with_frequency(self):
         a = rlgc_at(1e8, GEOM, MAT)
         b = rlgc_at(1e10, GEOM, MAT)
-        assert a.r_total < b.r_total
-        assert (a.c_ox, a.c_d, a.c_si, a.g_si, a.l_total) == \
-               (b.c_ox, b.c_d, b.c_si, b.g_si, b.l_total)
+        assert a.r_half < b.r_half
+        assert (a.c_ox, a.c_d, a.c_si, a.g_si, a.l_half) == \
+               (b.c_ox, b.c_d, b.c_si, b.g_si, b.l_half)
 
     def test_vector_matches_single_points_bit_for_bit(self):
         f = np.logspace(6, 11, 2001)
         el = rlgc_at(f, GEOM, MAT)
-        assert el.r_total.shape == el.r_half.shape == el.frequency.shape == (2001,)
+        assert el.r_half.shape == (2001,)
+        assert el.r_half.tobytes() == (r_total(f, GEOM, MAT) / 2).tobytes()
         lone = [rlgc_at(fk, GEOM, MAT) for fk in f]
         for field in fields(RlgcElements):
             points = np.array([getattr(p, field.name) for p in lone])
@@ -245,14 +245,13 @@ class TestBundle:
             assert vector.tobytes() == points.tobytes(), field.name
 
     def test_inconsistent_array_record_rejected(self):
-        f = np.array([1e8, 1e9, 1e10])
-        el = rlgc_at(f, GEOM, MAT)
-        negative = el.r_total * np.array([1.0, -1.0, 1.0])
-        with pytest.raises(ValidationError, match="^r_total must be"):
-            replace(el, r_total=negative, r_half=negative / 2)
-        with pytest.raises(ValidationError, match="^frequency must be"):
-            replace(el, frequency=np.array([1e8, 0.0, 1e10]))
-        with pytest.raises(ValidationError, match="one per frequency"):
-            replace(el, frequency=f[:2])
-        with pytest.raises(ValidationError, match="exactly half"):
-            replace(el, r_half=np.nextafter(el.r_half, np.inf))
+        # a resistance array is the one array a record holds: each member
+        # finite and positive, one dimension over the frequency axis
+        el = rlgc_at(np.array([1e8, 1e9, 1e10]), GEOM, MAT)
+        for bad in (np.array([1.0, -1.0, 1.0]), np.array([1.0, np.nan, 1.0]),
+                    np.array([1.0, np.inf, 1.0]), np.ones((1, 3))):
+            with pytest.raises(ValidationError, match="^r_half must be"):
+                replace(el, r_half=el.r_half * bad)
+        for name in ("l_half", "c_ox", "c_d", "c_si", "g_si"):
+            with pytest.raises(ValidationError, match=f"^{name} must be finite and positive"):
+                replace(el, **{name: -getattr(el, name)})
