@@ -14,8 +14,8 @@ from .params import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, MaterialParams,
                      TsvGeometry, load_config, sigma_from_mobility)
 from .rlgc import (RlgcElements, c_d, c_ox, c_si_g_si, depletion_width, l_tsv,
                    r_ac, r_dc, r_total, rlgc_at, skin_depth)
-from .sparams import (SSweep, ThreePortS, magnitude_db, max_singular_value,
-                      modal_s, s_sweep, s_sweep_csv, s_to_z, z_to_s)
+from .sparams import (SSweep, max_singular_value, modal_s, s_sweep, s_sweep_csv, s_to_z,
+                      z_to_s)
 from .spur import (BUILTIN_CALIBRATION_POINTS, CalibrationResult, OscillatorModel,
                    amplitude_sweep, builtin_oscillator, calibrate_k_sub, frequency_sweep,
                    modulation_index, slope_per_octave, spur_dbc, substrate_transfer,

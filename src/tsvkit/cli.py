@@ -10,18 +10,19 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import sys
 
 import numpy as np
 
 from . import __version__
 from .errors import ConfigError, TsvKitError, ValidationError
-from .network import FrequencyGrid, verify_dual_route, z_sweep, z_sweep_csv
+from .network import MAX_POINTS, FrequencyGrid, verify_dual_route, z_sweep, z_sweep_csv
 from .numerics import csv_text
 from .params import (GEOMETRY_KEYS, MATERIAL_KEYS, geometry_from_mapping, load_config,
                      materials_from_mapping)
 from .rlgc import c_d, c_ox, c_si_g_si, depletion_width, l_tsv, r_dc
-from .sparams import magnitude_db, max_singular_value, s_sweep, s_sweep_csv, s_to_z
+from .sparams import max_singular_value, s_sweep, s_sweep_csv, s_to_z
 from .spur import (BUILTIN_CALIBRATION_POINTS, DEFAULT_F_OSC, REPLICA_SUBSTRATE_LOAD,
                    OscillatorModel, amplitude_sweep, calibrate_k_sub, frequency_sweep,
                    slope_per_octave, substrate_transfer, substrate_transfer_mna)
@@ -44,13 +45,15 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _step_count(text):
-    """argparse type of --steps: an integer of at least 1."""
+    """argparse type of --steps: an integer from 1 to MAX_POINTS."""
     try:
         value = int(text)
     except ValueError:
         value = 0
     if value < 1:
         raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    if value > MAX_POINTS:
+        raise argparse.ArgumentTypeError(f"need at most {MAX_POINTS} steps, got {text}")
     return value
 
 
@@ -181,7 +184,8 @@ def _sweep_metric(name, geom, mat, probe_frequency, z0):
     if name in ELEMENT_UNITS:
         return _elements(geom, mat)[name]
     s = s_sweep(z_sweep(FrequencyGrid([probe_frequency]), geom, mat), z0).s[0]
-    return magnitude_db(s[1, 0] if name == "s21_db" else s[2, 0])
+    mag = abs(s[1, 0] if name == "s21_db" else s[2, 0])
+    return 20.0 * math.log10(mag) if mag > 0.0 else -math.inf
 
 
 def cmd_sweep(args) -> int:

@@ -21,13 +21,13 @@ diverging low-frequency Z12; tapping the substrate through the MOS stack
 instead overstates the coupling by ~12 dB.
 
 Two independent computation routes are provided: closed-form branch algebra
-(`branch_impedances`, used per point by `z_matrix_at` and over the whole
-frequency axis by `z_sweep`) and modified nodal analysis with unit current
+(`branch_impedances`, over the whole frequency axis by `z_sweep`, and at one
+frequency by `z_matrix_at`) and modified nodal analysis with unit current
 injection (`z_matrix_mna`).  They must agree to 1e-9; `verify_dual_route`
 checks that.  The nodal route lists the six elements as branches between
 five nodes (`nodal_branches`); `nodal_solve` stamps them into one complex128
-matrix, solves it with LAPACK and refines the solution from the branch
-currents.
+matrix, or one stack over the frequency axis, solves it with one LAPACK call
+and refines the solution from the branch currents.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetworkDegeneracyError, ValidationError
-from .numerics import csv_text, pieces, solve_extended
+from .numerics import csv_text, solve_extended
 from .params import MaterialParams, TsvGeometry, is_finite_real
 from .rlgc import RlgcElements, rlgc_at
 
@@ -52,11 +52,17 @@ NODES = 5
 PORT_INDEX = [0, 3, 2]
 REFINE_STEPS = 2
 
+# The most frequencies a grid may hold, and the most steps a CLI sweep may take:
+# a size is refused before anything is allocated for it.
+MAX_POINTS = 1_000_000
+
 
 def _check_bounds(start, stop, n) -> None:
     """The arguments of the FrequencyGrid constructors, checked before numpy sees them."""
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 2:
         raise ValidationError(f"need an integer n >= 2, got {n!r}")
+    if n > MAX_POINTS:
+        raise ValidationError(f"need at most {MAX_POINTS} points, got {n}")
     if not (is_finite_real(start) and is_finite_real(stop) and 0 < start < stop):
         raise ValidationError(f"need finite 0 < start < stop, got {start!r} and {stop!r}")
 
@@ -66,11 +72,8 @@ class FrequencyGrid:
     """Strictly increasing evaluation frequencies in Hz, as a read-only array."""
 
     points: np.ndarray
-    spacing: str = "logarithmic"
 
     def __post_init__(self):
-        if self.spacing not in ("linear", "logarithmic"):
-            raise ValidationError(f"spacing must be 'linear' or 'logarithmic', got {self.spacing!r}")
         pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or not pts.size:
             raise ValidationError("frequency grid must be a nonempty 1-D sequence")
@@ -86,13 +89,12 @@ class FrequencyGrid:
     @classmethod
     def logarithmic(cls, start: float = 1e6, stop: float = 100e9, n: int = 201) -> "FrequencyGrid":
         _check_bounds(start, stop, n)
-        return cls(points=np.logspace(math.log10(start), math.log10(stop), n),
-                   spacing="logarithmic")
+        return cls(points=np.logspace(math.log10(start), math.log10(stop), n))
 
     @classmethod
     def linear(cls, start: float, stop: float, n: int) -> "FrequencyGrid":
         _check_bounds(start, stop, n)
-        return cls(points=np.linspace(start, stop, n), spacing="linear")
+        return cls(points=np.linspace(start, stop, n))
 
     @classmethod
     def default(cls) -> "FrequencyGrid":
@@ -120,8 +122,7 @@ class ZSweep:
     ``z`` has shape (N, 3, 3).  The branch impedances it was built from are
     kept beside it (each shape (N,)): the modal S conversion works on them
     directly, because recovering Z_seg as Z11 - Z13 would cancel ~8 digits
-    at the bottom of the grid.  Indexing and iteration give one
-    :class:`ThreePortZ` per point.
+    at the bottom of the grid.
     """
 
     frequency: np.ndarray
@@ -132,9 +133,6 @@ class ZSweep:
 
     def __len__(self) -> int:
         return len(self.frequency)
-
-    def __getitem__(self, k) -> ThreePortZ:
-        return ThreePortZ(frequency=float(self.frequency[k]), z=self.z[k])
 
 
 def branch_impedances(f, elements: RlgcElements):
@@ -270,8 +268,8 @@ def z_matrix_mna(f, elements: RlgcElements):
     Each column is obtained by injecting 1 A into one port and reading the
     open-circuit node voltages.  ``f`` is one frequency, giving a
     :class:`ThreePortZ`, or an (N,) vector, giving an (N, 3, 3) array
-    solved as stacks of PIECE_ROWS frequencies.  The half-segment
-    resistance ``elements.r_half`` is a scalar or an (N,) array at ``f``.
+    from one stacked solve.  The half-segment resistance
+    ``elements.r_half`` is a scalar or an (N,) array at ``f``.
     """
     freqs = np.asarray(f, dtype=float)
     bad = ~((freqs > 0) & np.isfinite(freqs))
@@ -283,11 +281,7 @@ def z_matrix_mna(f, elements: RlgcElements):
         raise ValidationError(f"elements hold {np.size(r_half)} frequencies, f {freqs.size}")
     if freqs.ndim == 0:
         return ThreePortZ(frequency=f, z=_port_z(f, elements, r_half))
-    z = np.empty(freqs.shape + (3, 3), dtype=complex)
-    for piece in pieces(len(freqs)):
-        z[piece] = _port_z(freqs[piece], elements,
-                           r_half if np.ndim(r_half) == 0 else r_half[piece])
-    return z
+    return _port_z(freqs, elements, r_half)
 
 
 def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> ZSweep:

@@ -1,17 +1,14 @@
 """Small dense complex solves, condition numbers, and text tables.
 
-A solve and a condition number take one matrix or a stack of them over the
-frequency axis.  A solve is LAPACK's (``np.linalg.solve``) in complex128,
-which factors each member of a stack as it would factor it alone, so the
-two give the same bits; where accuracy beyond a backward-stable solve
-matters, the caller refines (the nodal route of ``network``).  Callers pass
-stacks of at most PIECE_ROWS frequencies (see :func:`pieces`), which bounds
-each stack and the temporaries built on it, such as the nodal route's
-inverses and refinement residuals, to about 100 kB.  A condition number
-comes from an SVD; for a stack of 3x3 matrices, :func:`condition_bound`
-gives an upper bound on each from the adjugate and the determinant, with
-their rounding errors, for a few array operations, so that only members it
-cannot clear need one.
+Solves and condition numbers work on stacks over the frequency axis, one
+call per stack; a single point is a stack of one.  A solve is LAPACK's
+(``np.linalg.solve``) in complex128, which factors each member of a stack
+as it would factor it alone, so a member gets the same bits in any stack;
+where accuracy beyond a backward-stable solve matters, the caller refines
+(the nodal route of ``network``).  A condition number comes from an SVD;
+for a stack of 3x3 matrices, :func:`condition_bound` gives an upper bound
+on each from the adjugate and the determinant, with their rounding errors,
+for a few array operations, so that only members it cannot clear need one.
 
 Text tables (:func:`format_rows`) hold each field exactly as C's ``%.Ne``
 writes it: the binary value correctly rounded to N + 1 significant digits,
@@ -87,15 +84,15 @@ def solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x.reshape(b.shape)
 
 
-def condition_number(a: np.ndarray):
-    """2-norm condition number by SVD: a float for one matrix, an (N,) array for a stack.
+def condition_number(a: np.ndarray) -> np.ndarray:
+    """2-norm condition number by SVD of each member of an (N, n, n) stack, as an (N,) array.
 
     +inf where a matrix is singular or has a non-finite entry; the latter
     never reach LAPACK, which would print to stdout about them.
     """
     a = np.asarray(a, dtype=np.complex128)
-    if a.ndim == 2:
-        return float(np.linalg.cond(a)) if np.isfinite(a).all() else np.inf
+    if np.isfinite(a).all():
+        return np.linalg.cond(a)
     cond = np.full(a.shape[:-2], np.inf)
     finite = np.isfinite(a).all(axis=(-2, -1))
     if finite.any():
@@ -153,7 +150,8 @@ def condition_bound(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.complex128)
     # Entry-major: row k holds entry k of every member, so that each step is
     # one operation along the stack rather than one across nine entries.
-    t = np.ascontiguousarray(a.reshape(-1, 9).T)
+    # A copy, never a view of ``a``, which the scaling below would overwrite.
+    t = a.reshape(-1, 9).T.copy()
     mag = np.abs(t)
     big = mag.max(axis=0)
     bad = ~np.isfinite(big)
@@ -182,8 +180,8 @@ PIECE_ROWS = 256
 def pieces(n: int):
     """Slices covering range(n) in order, PIECE_ROWS at a time.
 
-    Stacked solves and text formatting work piece by piece, which bounds
-    the memory their temporaries hold.
+    Text formatting works piece by piece, which bounds the memory its
+    temporaries hold.
     """
     return (slice(start, start + PIECE_ROWS) for start in range(0, n, PIECE_ROWS))
 

@@ -91,11 +91,11 @@ def r_total(f, geom: TsvGeometry, mat: MaterialParams):
     return _sqrt(rdc * rdc + rac * rac)
 
 
-def c_ox(geom: TsvGeometry, mat: MaterialParams, *, liner_floor: float = LINER_FLOOR) -> float:
+def c_ox(geom: TsvGeometry, mat: MaterialParams) -> float:
     """Radial liner capacitance 2*pi*eps_ox*eps_0*h / ln((r+t)/r), in farads."""
-    if geom.liner_thickness < liner_floor:
+    if geom.liner_thickness < LINER_FLOOR:
         raise ValidationError(
-            f"liner_thickness {geom.liner_thickness} below floor {liner_floor}: "
+            f"liner_thickness {geom.liner_thickness} below floor {LINER_FLOOR}: "
             "the radial capacitance diverges"
         )
     return (2.0 * math.pi * mat.eps_ox * EPS_0 * geom.height
@@ -115,14 +115,13 @@ def depletion_width(mat: MaterialParams) -> float:
                      / (Q_E * mat.n_a))
 
 
-def c_d(geom: TsvGeometry, mat: MaterialParams, w_d: float, *,
-        depletion_floor: float = DEPLETION_FLOOR) -> float:
+def c_d(geom: TsvGeometry, mat: MaterialParams, w_d: float) -> float:
     """Radial depletion capacitance 2*pi*eps_si*eps_0*h / ln((r+t+W)/(r+t)), in farads."""
     if not (w_d > 0 and math.isfinite(w_d)):
         raise ValidationError(f"depletion width must be finite and positive, got {w_d!r}")
-    if w_d < depletion_floor:
+    if w_d < DEPLETION_FLOOR:
         raise ValidationError(
-            f"depletion width {w_d} below floor {depletion_floor}: "
+            f"depletion width {w_d} below floor {DEPLETION_FLOOR}: "
             "the radial capacitance diverges"
         )
     inner = geom.radius + geom.liner_thickness
@@ -130,15 +129,14 @@ def c_d(geom: TsvGeometry, mat: MaterialParams, w_d: float, *,
             / math.log((inner + w_d) / inner))
 
 
-def c_si_g_si(geom: TsvGeometry, mat: MaterialParams, *,
-              pitch_ratio_floor: float = PITCH_RATIO_FLOOR) -> tuple[float, float]:
+def c_si_g_si(geom: TsvGeometry, mat: MaterialParams) -> tuple[float, float]:
     """Lateral parallel-wire substrate coupling (C_si, G_si).
 
     Shares one geometric factor pi*h / acosh(p/(2r)), so G_si/C_si equals
     sigma_si/(eps_si*eps_0) identically.
     """
     ratio = geom.pitch / (2.0 * geom.radius)
-    if ratio - 1.0 <= pitch_ratio_floor:
+    if ratio - 1.0 <= PITCH_RATIO_FLOOR:
         raise GeometryOverlapError(
             f"pitch/(2*radius) = {ratio} too close to 1: the parallel-wire "
             "formula diverges as the vias touch"

@@ -1,31 +1,32 @@
 """Scattering parameters of the three-port from its impedance matrix.
 
-Single points convert with the equal-real-reference form S = (Z - Z0 I)(Z + Z0 I)^-1
+The conversions use the equal-real-reference form S = (Z - Z0 I)(Z + Z0 I)^-1
 and its algebraic inverse Z = Z0 (I + S)(I - S)^-1, computed with LAPACK
 linear solves in complex128 (never an explicit inverse), unrefined: S and
 Z are already rounded, and their rounding amplified by the condition
-number bounds what a solve can recover.  `s_to_z` also inverts a whole
-sweep, as stacks of such solves.
+number bounds what a solve can recover.  Both work on (N, 3, 3) stacks,
+one solve per stack: `s_to_z` inverts a whole :class:`SSweep`, and
+`z_to_s` converts one impedance matrix as a one-point sweep.
 A conversion is refused where the matrix it inverts has a 2-norm condition
-number above COND_LIMIT.  A sweep is cleared by the adjugate bound
-(`numerics.condition_bound`) and takes an SVD only for the members the
-bound cannot clear; a refusal names the first frequency over the limit
-with its SVD condition number, as when every member takes an SVD.
+number above COND_LIMIT.  A stack of several members is cleared by the
+adjugate bound (`numerics.condition_bound`) and takes an SVD only for the
+members the bound cannot clear; a one-member stack takes the SVD directly.
+A refusal names the first frequency over the limit with its SVD condition
+number either way.
 Sweeps convert in closed form from the branch impedances by even/odd-mode
 analysis (`modal_s`); the solve route is the exact reference it is
-checked against.  Magnitudes are reported as 20*log10|s|.
+checked against.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConversionError, NetworkDegeneracyError, ValidationError
 from .network import ThreePortZ, ZSweep
-from .numerics import condition_bound, condition_number, csv_text, pieces, solve_extended
+from .numerics import condition_bound, condition_number, csv_text, solve_extended
 from .params import is_finite_real
 
 COND_LIMIT = 1e12
@@ -36,98 +37,11 @@ def _check_z0(z0) -> None:
         raise ValidationError(f"z0 must be one finite positive number, got {z0!r}")
 
 
-@dataclass(frozen=True)
-class ThreePortS:
-    """Scattering matrix at one frequency, referenced to a real z0 on all ports."""
-
-    frequency: float
-    s: np.ndarray
-    z0: float = 50.0
-
-    def __post_init__(self):
-        s = np.asarray(self.s, dtype=complex)
-        if s.shape != (3, 3):
-            raise ValidationError(f"s must be 3x3, got shape {s.shape}")
-        _check_z0(self.z0)
-        object.__setattr__(self, "s", s)
-
-
-def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency, name: str,
-                   note: str = "") -> np.ndarray:
-    """b @ inv(a) by LAPACK solves of a^T x^T = b^T, refused above COND_LIMIT.
-
-    ``a`` and ``b`` are 3x3 at one ``frequency`` or (N, 3, 3) stacks over an
-    (N,) ``frequency`` vector, solved PIECE_ROWS members at a time.  ``name``
-    spells the matrix ``a`` in the :class:`ConversionError` messages, which
-    name the first frequency that fails with its SVD condition number.  A
-    stack is first cleared by :func:`condition_bound`, which is never below
-    the SVD value: only the members it leaves above the limit take an SVD,
-    and the first of them over the limit is the first member over it.  One
-    matrix takes the SVD, which costs less than the bound's array set-up.
-    """
-    if a.ndim == 2:
-        cond = condition_number(a)
-        if not cond <= COND_LIMIT:   # NaN fails too
-            raise _ill_conditioned(name, frequency, cond, note)
-        try:
-            return solve_extended(a.T, b.T).T
-        except NetworkDegeneracyError as err:
-            raise _singular(name, frequency, cond) from err
-    suspect = np.flatnonzero(~(condition_bound(a) <= COND_LIMIT))
-    if suspect.size:
-        cond = condition_number(a[suspect])
-        over = np.flatnonzero(~(cond <= COND_LIMIT))
-        if over.size:
-            k = over[0]
-            raise _ill_conditioned(name, frequency[suspect[k]], cond[k], note)
-    x = np.empty_like(a)
-    for piece in pieces(len(a)):
-        try:
-            x[piece] = solve_extended(a[piece].swapaxes(1, 2),
-                                      b[piece].swapaxes(1, 2)).swapaxes(1, 2)
-        except NetworkDegeneracyError as err:
-            k = piece.start + err.index
-            raise _singular(name, frequency[k], condition_number(a[k])) from err
-    return x
-
-
-def _ill_conditioned(name, frequency, cond, note) -> ConversionError:
-    return ConversionError(f"{name} is singular or ill-conditioned at {frequency:.6g} Hz "
-                           f"(condition number {cond:.3e}){note}", condition_number=float(cond))
-
-
-def _singular(name, frequency, cond) -> ConversionError:
-    return ConversionError(f"{name} singular at {frequency:.6g} Hz", condition_number=float(cond))
-
-
-def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> ThreePortS:
-    """Convert one impedance matrix to scattering parameters: S = (Z - z0 I)(Z + z0 I)^-1."""
-    _check_z0(z0)
-    eye = np.eye(3)
-    s = _guarded_solve(zp.z + z0 * eye, zp.z - z0 * eye, zp.frequency, "(Z + z0 I)")
-    return ThreePortS(frequency=zp.frequency, s=s, z0=z0)
-
-
-def s_to_z(sp):
-    """Invert the scattering conversion: Z = z0 (I + S)(I - S)^-1.
-
-    A :class:`ThreePortZ` for a :class:`ThreePortS`; an (N, 3, 3) array for
-    an :class:`SSweep`, whose conditioning is checked once over the whole
-    sweep and which is solved as stacks of PIECE_ROWS frequencies.
-    """
-    eye = np.eye(3)
-    with np.errstate(invalid="ignore"):   # inf * 0 of an inf entry: the guard refuses it
-        b = sp.z0 * (eye + sp.s)
-    z = _guarded_solve(eye - sp.s, b, sp.frequency, "(I - S)", "; S has a near-unit eigenvalue")
-    return z if isinstance(sp, SSweep) else ThreePortZ(frequency=sp.frequency, z=z)
-
-
 @dataclass(frozen=True, eq=False)
 class SSweep:
     """Scattering matrices over a frequency vector, referenced to one real z0.
 
-    ``s`` has shape (N, 3, 3).  Indexing and iteration give one
-    :class:`ThreePortS` per point.
+    ``s`` has shape (N, 3, 3); a single point is a sweep of one.
     """
 
     frequency: np.ndarray
@@ -148,8 +62,61 @@ class SSweep:
     def __len__(self) -> int:
         return len(self.frequency)
 
-    def __getitem__(self, k) -> ThreePortS:
-        return ThreePortS(frequency=float(self.frequency[k]), s=self.s[k], z0=self.z0)
+
+def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency: np.ndarray, name: str,
+                   note: str = "") -> np.ndarray:
+    """b @ inv(a) by one LAPACK solve of a^T x^T = b^T, refused above COND_LIMIT.
+
+    ``a`` and ``b`` are (N, 3, 3) stacks over an (N,) ``frequency`` vector.
+    ``name`` spells the matrix ``a`` in the :class:`ConversionError`
+    messages, which name the first frequency that fails with its SVD
+    condition number.  A stack of several members is first cleared by
+    :func:`condition_bound`, which is never below the SVD value: only the
+    members it leaves above the limit take an SVD, and the first of them
+    over the limit is the first member over it.  One member takes the SVD,
+    which costs less than the bound's array set-up.
+    """
+    lone = len(a) == 1
+    cond = condition_number(a) if lone else condition_bound(a)
+    # NaN fails too; one member is compared without a reduction, which costs more here
+    if not (cond[0] if lone else cond.max()) <= COND_LIMIT:
+        suspect = np.flatnonzero(~(cond <= COND_LIMIT))
+        if not lone:
+            cond = condition_number(a[suspect])
+        over = np.flatnonzero(~(cond <= COND_LIMIT))
+        if over.size:
+            k = over[0]
+            raise _ill_conditioned(name, frequency[suspect[k]], cond[k], note)
+    try:
+        return solve_extended(a.swapaxes(1, 2), b.swapaxes(1, 2)).swapaxes(1, 2)
+    except NetworkDegeneracyError as err:
+        k = err.index
+        raise _singular(name, frequency[k], condition_number(a[k:k + 1])[0]) from err
+
+
+def _ill_conditioned(name, frequency, cond, note) -> ConversionError:
+    return ConversionError(f"{name} is singular or ill-conditioned at {frequency:.6g} Hz "
+                           f"(condition number {cond:.3e}){note}", condition_number=float(cond))
+
+
+def _singular(name, frequency, cond) -> ConversionError:
+    return ConversionError(f"{name} singular at {frequency:.6g} Hz", condition_number=float(cond))
+
+
+def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> SSweep:
+    """S = (Z - z0 I)(Z + z0 I)^-1 of one impedance matrix, as a one-point :class:`SSweep`."""
+    _check_z0(z0)
+    z, shift = zp.z[None], z0 * np.eye(3)
+    f = np.array([zp.frequency], dtype=float)
+    return SSweep(f, _guarded_solve(z + shift, z - shift, f, "(Z + z0 I)"), z0)
+
+
+def s_to_z(sp: SSweep) -> np.ndarray:
+    """Invert the scattering conversion of a sweep: Z = z0 (I + S)(I - S)^-1, (N, 3, 3)."""
+    eye = np.eye(3)
+    with np.errstate(invalid="ignore"):   # inf * 0 of an inf entry: the guard refuses it
+        b = sp.z0 * (eye + sp.s)
+    return _guarded_solve(eye - sp.s, b, sp.frequency, "(I - S)", "; S has a near-unit eigenvalue")
 
 
 def modal_s(frequency, z_seg, z_lat, z_stack, z0: float = 50.0) -> np.ndarray:
@@ -198,17 +165,12 @@ def s_sweep(zs: ZSweep, z0: float = 50.0) -> SSweep:
     """S over a closed-form impedance sweep, by :func:`modal_s`."""
     if not isinstance(zs, ZSweep):
         raise ValidationError(f"s_sweep needs a ZSweep from z_sweep, got {type(zs).__name__}")
+    _check_z0(z0)   # before modal_s, which would blame a bad z0 on the network
     return SSweep(zs.frequency, modal_s(zs.frequency, zs.z_seg, zs.z_lat, zs.z_stack, z0), z0)
 
 
-def magnitude_db(value: complex) -> float:
-    """20*log10 of the magnitude; -inf for an exact zero."""
-    mag = abs(value)
-    return 20.0 * math.log10(mag) if mag > 0.0 else float("-inf")
-
-
-def max_singular_value(sp):
-    """Largest singular value of S: a float for a point, an (N,) array for a sweep.
+def max_singular_value(sp: SSweep) -> np.ndarray:
+    """Largest singular value of each S of a sweep, as an (N,) array.
 
     The square root of the largest eigenvalue of the Hermitian S^H S, which
     ``eigvalsh`` finds for less than an SVD costs.  Each matrix is first
@@ -226,7 +188,7 @@ def max_singular_value(sp):
     t.imag = np.ldexp(np.where(finite[..., None, None], s.imag, 0.0), scale)
     top = np.linalg.eigvalsh(t.conj().swapaxes(-1, -2) @ t)[..., -1]
     sigma = np.where(finite, np.ldexp(np.sqrt(top), e), np.nan)
-    return float(sigma) if sigma.ndim == 0 else sigma
+    return sigma
 
 
 S_CSV_HEADER = "frequency_hz,s21_db,s31_db"

@@ -47,6 +47,9 @@ RESIDUAL_SPREAD_WARN = 3.0   # dB
 # transfer toward unity at low frequency and overstates the roll-off).
 REPLICA_SUBSTRATE_LOAD = 50.0
 
+# Termination of port 3 (the signal via top) in every transfer, ohms.
+TERMINATION = 50.0
+
 # Bundled reference spur measurement for the default parameter set:
 # (aggressor peak-to-peak volts, aggressor Hz, observed spur dBc).
 BUILTIN_CALIBRATION_POINTS = ((0.1, 1e9, -36.1),)
@@ -66,18 +69,16 @@ class OscillatorModel:
 
 
 def substrate_transfer(f, geom: TsvGeometry, mat: MaterialParams,
-                       termination: float = 50.0, substrate_load: float | None = None):
+                       substrate_load: float | None = None):
     """Substrate-port voltage per volt at port 1 at ``f`` Hz (or an (N,) array), closed form.
 
-    Port 3 is terminated in ``termination``; the substrate port carries
+    Port 3 is terminated in ``TERMINATION``; the substrate port carries
     ``substrate_load`` to ground (None = open).  At low frequency the lateral
     silicon path conducts, so the open-load transfer approaches unity while a
     finite load divides it down; it never exceeds unity.  The branches come
     from :func:`~tsvkit.network.branch_impedances`, not from the 3x3 Z-matrix,
     whose Z11 = Z_seg + Z_lat + Z_stack cancels ~8 digits at low frequency.
     """
-    if not (termination > 0 and math.isfinite(termination)):
-        raise ValidationError(f"termination must be finite and positive, got {termination!r}")
     if substrate_load is not None and not (substrate_load > 0 and math.isfinite(substrate_load)):
         raise ValidationError(
             f"substrate_load must be positive, finite or None, got {substrate_load!r}")
@@ -88,18 +89,18 @@ def substrate_transfer(f, geom: TsvGeometry, mat: MaterialParams,
         z_stack * substrate_load / (z_stack + substrate_load)
     z_sub_path = z_lat + z_down
     y_sub_path = 1.0 / z_sub_path
-    y_thru_path = 1.0 / (z_seg + termination)
+    y_thru_path = 1.0 / (z_seg + TERMINATION)
     v2_over_vm = z_down / z_sub_path
     vm_over_v1 = 1.0 / (1.0 + z_seg * (y_sub_path + y_thru_path))
     return v2_over_vm * vm_over_v1
 
 
 def substrate_transfer_mna(f, geom: TsvGeometry, mat: MaterialParams,
-                           termination: float = 50.0, substrate_load: float | None = None):
+                           substrate_load: float | None = None):
     """Same transfer by nodal analysis (an (N,) ``f`` as one stack); verification route."""
     el = rlgc_at(f, geom, mat)
     p1, p2, p3 = PORT_INDEX
-    loads = [(p3, None, 1.0 / termination)]
+    loads = [(p3, None, 1.0 / TERMINATION)]
     if substrate_load is not None:
         loads.append((p2, None, 1.0 / substrate_load))
     rhs = np.zeros((NODES, 1))
@@ -196,7 +197,6 @@ class CalibrationResult:
 
 
 def calibrate_k_sub(points, geom: TsvGeometry, mat: MaterialParams,
-                    termination: float = 50.0,
                     substrate_load: float | None = REPLICA_SUBSTRATE_LOAD) -> CalibrationResult:
     """Least-squares fit of k_sub to reference (A_pp, f_agg, spur_dbc) points.
 
@@ -216,7 +216,7 @@ def calibrate_k_sub(points, geom: TsvGeometry, mat: MaterialParams,
                                   "amplitude and frequency and a finite level")
     amplitude, f_agg, level = np.array(points, dtype=float).T
     # one scalar transfer per point: a one-point calibration cannot repay the array path
-    h = np.array([abs(substrate_transfer(f, geom, mat, termination, substrate_load))
+    h = np.array([abs(substrate_transfer(f, geom, mat, substrate_load))
                   for f in f_agg.tolist()])
     with np.errstate(all="ignore"):   # out of range shows as a k_sub that is not finite
         offsets = 20.0 * np.log10(h * amplitude / (4.0 * f_agg))
@@ -237,10 +237,9 @@ def calibrate_k_sub(points, geom: TsvGeometry, mat: MaterialParams,
 
 
 def builtin_oscillator(geom: TsvGeometry, mat: MaterialParams,
-                       termination: float = 50.0,
                        substrate_load: float | None = REPLICA_SUBSTRATE_LOAD) -> OscillatorModel:
     """Oscillator model calibrated on the bundled reference point."""
-    cal = calibrate_k_sub(BUILTIN_CALIBRATION_POINTS, geom, mat, termination, substrate_load)
+    cal = calibrate_k_sub(BUILTIN_CALIBRATION_POINTS, geom, mat, substrate_load)
     return OscillatorModel(k_sub=cal.k_sub)
 
 
@@ -250,23 +249,21 @@ def _rows(swept, levels) -> list[tuple[float, float]]:
 
 def amplitude_sweep(osc: OscillatorModel, geom: TsvGeometry, mat: MaterialParams,
                     amplitudes, f_agg: float = 1e9,
-                    termination: float = 50.0,
                     substrate_load: float | None = REPLICA_SUBSTRATE_LOAD,
                     exact_bessel: bool = False) -> list[tuple[float, float]]:
     """(amplitude, spur dBc) rows at a fixed aggressor frequency, in one array pass."""
     amplitudes = np.asarray(amplitudes)
-    h = substrate_transfer(f_agg, geom, mat, termination, substrate_load)
+    h = substrate_transfer(f_agg, geom, mat, substrate_load)
     return _rows(amplitudes, spur_dbc(osc, amplitudes, f_agg, h, exact_bessel))
 
 
 def frequency_sweep(osc: OscillatorModel, geom: TsvGeometry, mat: MaterialParams,
                     frequencies, amplitude_vpp: float = 0.3,
-                    termination: float = 50.0,
                     substrate_load: float | None = REPLICA_SUBSTRATE_LOAD,
                     exact_bessel: bool = False) -> list[tuple[float, float]]:
     """(frequency, spur dBc) rows at a fixed peak-to-peak amplitude, in one array pass."""
     frequencies = np.asarray(frequencies)
-    h = substrate_transfer(frequencies, geom, mat, termination, substrate_load)
+    h = substrate_transfer(frequencies, geom, mat, substrate_load)
     return _rows(frequencies, spur_dbc(osc, amplitude_vpp, frequencies, h, exact_bessel))
 
 

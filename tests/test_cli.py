@@ -10,7 +10,7 @@ import pytest
 import reference_values as ref
 from tsvkit import DEFAULT_GEOMETRY, DEFAULT_MATERIALS, ValidationError, cli
 from tsvkit.cli import main
-from tsvkit.network import z_matrix_mna
+from tsvkit.network import MAX_POINTS, z_matrix_mna
 from tsvkit.rlgc import rlgc_at
 from tsvkit.sparams import z_to_s
 from tsvkit.touchstone import read_s3p
@@ -197,7 +197,7 @@ class TestSweep:
         assert code == 0
         for pitch, value in json.loads(out)["rows"]:
             geom = replace(DEFAULT_GEOMETRY, pitch=pitch)
-            s = z_to_s(z_matrix_mna(3e9, rlgc_at(3e9, geom, DEFAULT_MATERIALS)), z0=75.0).s
+            s = z_to_s(z_matrix_mna(3e9, rlgc_at(3e9, geom, DEFAULT_MATERIALS)), z0=75.0).s[0]
             expected = 20.0 * math.log10(abs(s[row, 0]))
             assert value == pytest.approx(expected, rel=1e-9)
 
@@ -400,6 +400,35 @@ class TestCommandLineErrors:
         assert code == 2
         assert self.one_error_line(err)
         assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["extract", "sweep", "validate"])
+    def test_nan_z0_is_named(self, command, tmp_path, capsys):
+        outputs = {"extract": ["--out", str(tmp_path / "p.s3p"), "--csv", str(tmp_path / "p.csv")],
+                   "sweep": ["--param", "pitch", "--start", "20e-6", "--stop", "80e-6",
+                             "--metric", "s21_db", "--out", str(tmp_path / "r.csv")],
+                   "validate": []}[command]
+        code, out, err = run(capsys, command, "--z0", "nan", *outputs)
+        assert code == 2 and out == ""
+        assert self.one_error_line(err) and err.startswith("error: z0 must be one finite")
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["spur", "--mode", "amplitude", "--steps", "100000000000000000000"],
+        ["spur", "--mode", "frequency", "--steps", str(MAX_POINTS + 1)],
+        ["sweep", "--param", "pitch", "--start", "20e-6", "--stop", "80e-6",
+         "--metric", "c_ox", "--steps", "100000000000000000000"],
+        ["validate", "--points", "10000000000000"],
+        ["extract", "--points", str(MAX_POINTS + 1)],
+    ], ids=["spur-1e20", "spur-cap", "sweep-1e20", "validate-1e13", "extract-cap"])
+    def test_size_past_the_cap_refused_before_allocating(self, argv, tmp_path, capsys):
+        if argv[0] != "validate":
+            argv = argv + ["--out", str(tmp_path / "out.txt")]
+        if argv[0] == "extract":
+            argv = argv + ["--csv", str(tmp_path / "p.csv")]
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert self.one_error_line(err) and f"need at most {MAX_POINTS} " in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_bad_int(self, capsys):
         code, out, err = run(capsys, "spur", "--mode", "amplitude", "--steps", "x")

@@ -9,7 +9,7 @@ from hypothesis import given, strategies as st
 
 import reference_values as ref
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, MaterialParams,
-                    TsvGeometry, ValidationError)
+                    TsvGeometry, ValidationError, rlgc)
 from tsvkit.constants import EPS_0
 from tsvkit.errors import GeometryOverlapError
 from tsvkit.rlgc import (RlgcElements, c_d, c_ox, c_si_g_si, depletion_width, l_tsv,
@@ -161,9 +161,11 @@ class TestErrors:
         with pytest.raises(GeometryOverlapError):
             c_si_g_si(g, MAT)
 
-    def test_pitch_ratio_floor_configurable(self):
+    def test_pitch_ratio_floor_configurable(self, monkeypatch):
+        # the floor is the module constant, read at each call
+        monkeypatch.setattr(rlgc, "PITCH_RATIO_FLOOR", 10.0)
         with pytest.raises(GeometryOverlapError):
-            c_si_g_si(GEOM, MAT, pitch_ratio_floor=10.0)
+            c_si_g_si(GEOM, MAT)
 
 
 frequencies = st.floats(min_value=1e6, max_value=100e9)

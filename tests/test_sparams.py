@@ -1,5 +1,6 @@
 """Z<->S conversion identities, passivity/reciprocity, coupling-curve shape."""
 
+import io
 import math
 from dataclasses import replace
 
@@ -8,13 +9,14 @@ import pytest
 
 import reference_values as ref
 from tsvkit import (ConversionError, DEFAULT_GEOMETRY, DEFAULT_MATERIALS,
-                    FrequencyGrid, SSweep, ThreePortS, ValidationError)
+                    FrequencyGrid, SSweep, ValidationError)
 from tsvkit import sparams
 from tsvkit.network import ThreePortZ, z_matrix_at, z_matrix_mna, z_sweep
 from tsvkit.numerics import condition_bound, solve_extended
 from tsvkit.rlgc import rlgc_at
-from tsvkit.sparams import (COND_LIMIT, magnitude_db, max_singular_value, modal_s, s_sweep,
-                            s_sweep_csv, s_to_z, z_to_s)
+from tsvkit.sparams import (COND_LIMIT, max_singular_value, modal_s, s_sweep, s_sweep_csv,
+                            s_to_z, z_to_s)
+from tsvkit.touchstone import read_s3p, write_s3p
 
 # a floating-point warning leaked from a numerics path fails its test
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -25,6 +27,18 @@ MAT = DEFAULT_MATERIALS
 
 def model_s(f, z0=50.0):
     return z_to_s(z_matrix_at(f, rlgc_at(f, GEOM, MAT)), z0=z0)
+
+
+def point(s, f=1e9, z0=50.0):
+    """A one-point SSweep of one 3x3 S."""
+    return SSweep(np.array([f]), np.asarray(s, dtype=complex)[None], z0)
+
+
+def db(value):
+    """20*log10|value| of the S_CSV_HEADER columns, read back from s_sweep_csv."""
+    s = np.zeros((1, 3, 3), dtype=complex)
+    s[0, 1, 0] = value
+    return float(s_sweep_csv(SSweep([1e9], s)).splitlines()[1].split(",")[1])
 
 
 def random_passive_symmetric(rng):
@@ -45,23 +59,29 @@ class TestConversionBasics:
         assert np.abs(s + np.eye(3)).max() < 1e-15
 
     def test_zero_s_gives_z0_identity(self):
-        sp = ThreePortS(frequency=1e9, s=np.zeros((3, 3)), z0=50.0)
-        z = s_to_z(sp).z
+        z = s_to_z(point(np.zeros((3, 3))))
+        assert z.shape == (1, 3, 3)
         assert np.abs(z - 50.0 * np.eye(3)).max() < 1e-12
 
     def test_minus_identity_gives_short(self):
-        sp = ThreePortS(frequency=1e9, s=-np.eye(3), z0=50.0)
-        assert np.abs(s_to_z(sp).z).max() < 1e-12
+        assert np.abs(s_to_z(point(-np.eye(3)))).max() < 1e-12
 
     def test_frequency_carried_through(self):
         sp = model_s(3.3e9)
-        assert sp.frequency == 3.3e9
-        assert s_to_z(sp).frequency == 3.3e9
+        assert isinstance(sp, SSweep) and sp.s.shape == (1, 3, 3)
+        assert sp.frequency.tolist() == [3.3e9] and sp.z0 == 50.0
 
     def test_unit_eigenvalue_rejected(self):
-        sp = ThreePortS(frequency=1e9, s=np.eye(3), z0=50.0)
         with pytest.raises(ConversionError):
-            s_to_z(sp)
+            s_to_z(point(np.eye(3)))
+
+    @pytest.mark.parametrize("z", [50.0 * np.eye(3), np.zeros((3, 3)), "model"])
+    def test_same_bits_as_one_lapack_solve(self, z):
+        zp = z_matrix_at(2.5e9, rlgc_at(2.5e9, GEOM, MAT)) if isinstance(z, str) else \
+            ThreePortZ(frequency=2.5e9, z=z)
+        eye = np.eye(3)
+        expected = np.linalg.solve((zp.z + 50.0 * eye).T, (zp.z - 50.0 * eye).T).T
+        assert z_to_s(zp).s[0].tobytes() == expected.tobytes()
 
     def test_singular_sum_rejected(self):
         zp = ThreePortZ(frequency=1e9, z=-50.0 * np.eye(3))
@@ -75,9 +95,9 @@ class TestReferenceImpedance:
 
     @pytest.mark.parametrize("z0", ["50", np.array([50.0, 75.0]), True],
                              ids=["str", "array", "bool"])
-    def test_three_port_s_refuses(self, z0):
+    def test_one_point_sweep_refuses(self, z0):
         with pytest.raises(ValidationError, match="^z0 must be"):
-            ThreePortS(frequency=1e9, s=np.zeros((3, 3)), z0=z0)
+            point(np.zeros((3, 3)), z0=z0)
 
     @pytest.mark.parametrize("z0", ["50", np.array([50.0, 75.0]), True, -50.0, math.nan],
                              ids=["str", "array", "bool", "negative", "nan"])
@@ -90,17 +110,17 @@ class TestReferenceImpedance:
 
 class TestRoundTrip:
     def test_model_sweep_roundtrip(self):
-        for zp in z_sweep(FrequencyGrid.default(), GEOM, MAT):
-            zrt = s_to_z(z_to_s(zp))
-            assert (np.abs(zrt.z - zp.z) / np.abs(zp.z)).max() < 1e-9
+        zs = z_sweep(FrequencyGrid.default(), GEOM, MAT)
+        for f, z in zip(zs.frequency, zs.z):
+            zrt = s_to_z(z_to_s(ThreePortZ(frequency=f, z=z)))[0]
+            assert (np.abs(zrt - z) / np.abs(z)).max() < 1e-9
 
     def test_random_passive_matrices(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             s = random_passive_symmetric(rng)
-            sp = ThreePortS(frequency=1e9, s=s, z0=50.0)
-            srt = z_to_s(s_to_z(sp))
-            assert np.abs(srt.s - s).max() < 1e-12
+            srt = z_to_s(ThreePortZ(frequency=1e9, z=s_to_z(point(s))[0]))
+            assert np.abs(srt.s[0] - s).max() < 1e-12
 
 
 class TestSweepProperties:
@@ -113,12 +133,13 @@ class TestSweepProperties:
             s_sweep([])
 
     def test_reciprocity_across_grid(self):
-        for sp in s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT)):
-            assert np.abs(sp.s - sp.s.T).max() <= 1e-9 * np.abs(sp.s).max()
+        s = s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT)).s
+        scale = np.abs(s).max(axis=(1, 2))
+        assert (np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2)) <= 1e-9 * scale).all()
 
     def test_passivity_across_grid(self):
-        for sp in s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT)):
-            assert max_singular_value(sp) <= 1.0 + 1e-9
+        sigma = max_singular_value(s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT)))
+        assert sigma.shape == (201,) and (sigma <= 1.0 + 1e-9).all()
 
 
 def contraction_with_equal_top_pair(rng, sigma, third):
@@ -151,8 +172,8 @@ class TestMaxSingularValue:
         s /= np.abs(s).max(axis=(1, 2), keepdims=True)
         s *= np.array([1e-310, 1e-200, 1e-160, 1e160, 1e200, 1e300])[:, None, None]
         self.check(s)
-        tiny = max_singular_value(ThreePortS(frequency=1e9, s=np.diag([5e-324, 0.0, 0.0])))
-        assert tiny == 5e-324
+        tiny = max_singular_value(point(np.diag([5e-324, 0.0, 0.0])))
+        assert tiny.tolist() == [5e-324]
 
     def test_contractions_with_equal_top_singular_values(self):
         rng = np.random.default_rng(12)
@@ -166,18 +187,19 @@ class TestMaxSingularValue:
         sweep = s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT))
         self.check(sweep.s)
         for k in (0, 100, 200):
-            assert max_singular_value(sweep[k]) == max_singular_value(sweep)[k]
+            lone = SSweep(sweep.frequency[k:k + 1], sweep.s[k:k + 1])
+            assert max_singular_value(lone).tolist() == [max_singular_value(sweep)[k]]
 
-    def test_float_for_a_point_zero_for_zero(self):
-        sigma = max_singular_value(ThreePortS(frequency=1e9, s=np.diag([0.5, 0.25j, 0.0])))
-        assert type(sigma) is float and sigma == pytest.approx(0.5, rel=1e-15)
-        assert max_singular_value(ThreePortS(frequency=1e9, s=np.zeros((3, 3)))) == 0.0
+    def test_array_for_a_point_zero_for_zero(self):
+        sigma = max_singular_value(point(np.diag([0.5, 0.25j, 0.0])))
+        assert sigma.shape == (1,) and sigma[0] == pytest.approx(0.5, rel=1e-15)
+        assert max_singular_value(point(np.zeros((3, 3)))).tolist() == [0.0]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
     def test_non_finite_entry_gives_nan(self, bad):
         s = np.diag([0.5, 0.5, 0.5]).astype(complex)
         s[1, 2] = bad
-        assert math.isnan(max_singular_value(ThreePortS(frequency=1e9, s=s)))
+        assert np.isnan(max_singular_value(point(s))).all()
         stack = np.stack([0.5 * np.eye(3), s, 0.25 * np.eye(3), s]).astype(complex)
         sigma = max_singular_value(SSweep(np.arange(1.0, 5.0), stack))
         assert np.isnan(sigma[[1, 3]]).all()
@@ -186,25 +208,27 @@ class TestMaxSingularValue:
 
 class TestCouplingShape:
     def test_s21_level_at_10ghz(self):
-        assert magnitude_db(model_s(10e9).s[1, 0]) == pytest.approx(ref.S21_DB_10GHZ, abs=1e-6)
+        s21 = model_s(10e9).s[0, 1, 0]
+        assert 20 * math.log10(abs(s21)) == pytest.approx(ref.S21_DB_10GHZ, abs=1e-6)
 
     def test_s21_level_at_1ghz(self):
-        assert magnitude_db(model_s(1e9).s[1, 0]) == pytest.approx(ref.S21_DB_1GHZ, abs=1e-6)
+        s21 = model_s(1e9).s[0, 1, 0]
+        assert 20 * math.log10(abs(s21)) == pytest.approx(ref.S21_DB_1GHZ, abs=1e-6)
 
     def test_s31_level_at_10ghz(self):
-        assert magnitude_db(model_s(10e9).s[2, 0]) == pytest.approx(ref.S31_DB_10GHZ, abs=1e-6)
+        s31 = model_s(10e9).s[0, 2, 0]
+        assert 20 * math.log10(abs(s31)) == pytest.approx(ref.S31_DB_10GHZ, abs=1e-6)
 
     def test_s21_monotone_rising_10mhz_to_10ghz(self):
         sweep = s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT))
-        band = [sp for sp in sweep if 10e6 <= sp.frequency <= 10e9]
-        mags = [magnitude_db(sp.s[1, 0]) for sp in band]
-        assert all(b >= a for a, b in zip(mags, mags[1:]))
+        band = (sweep.frequency >= 10e6) & (sweep.frequency <= 10e9)
+        mags = 20 * np.log10(np.abs(sweep.s[band, 1, 0]))
+        assert (np.diff(mags) >= 0).all()
 
     def test_s31_low_insertion_loss_below_10ghz(self):
         sweep = s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT))
-        for sp in sweep:
-            if sp.frequency <= 10e9:
-                assert magnitude_db(sp.s[2, 0]) > -3.0
+        band = sweep.frequency <= 10e9
+        assert (20 * np.log10(np.abs(sweep.s[band, 2, 0])) > -3.0).all()
 
 
 def perturbed_design(seed):
@@ -230,7 +254,7 @@ class TestModalSweep:
         rng = np.random.default_rng(seed)
         for k in [0, len(grid.points) - 1, *rng.integers(1, len(grid.points) - 1, 8)]:
             f = grid.points[k]
-            exact = z_to_s(z_matrix_mna(f, rlgc_at(f, geom, mat))).s
+            exact = z_to_s(z_matrix_mna(f, rlgc_at(f, geom, mat))).s[0]
             assert np.abs(sweep.s[k] - exact).max() <= 1e-9 * np.abs(exact).max()
         assert max_singular_value(sweep).max() <= 1.0 + 1e-9
 
@@ -257,7 +281,34 @@ class TestStackedInverse:
         z = s_to_z(sweep)
         assert z.shape == (700, 3, 3) and z.dtype == complex
         for k in range(700):
-            assert z[k].tobytes() == s_to_z(sweep[k]).z.tobytes()
+            lone = SSweep(sweep.frequency[k:k + 1], sweep.s[k:k + 1])
+            assert z[k].tobytes() == s_to_z(lone)[0].tobytes()
+
+    def test_one_point_sweeps_equal_members_of_the_sweep(self):
+        # a one-point sweep takes the SVD, not the bound, whose scaling must never reach it
+        sweep = s_sweep(z_sweep(FrequencyGrid.logarithmic(1e6, 100e9, 3), GEOM, MAT))
+        z = s_to_z(sweep)
+        one_record = io.StringIO()
+        write_s3p(SSweep(sweep.frequency[1:2], sweep.s[1:2]), one_record)
+        assert s_to_z(read_s3p(one_record.getvalue()).as_sparams()).shape == (1, 3, 3)
+        for k in range(3):
+            lone = SSweep(sweep.frequency[k:k + 1], sweep.s[k:k + 1])
+            assert s_to_z(lone).tobytes() == z[k:k + 1].tobytes()
+
+    @pytest.mark.parametrize("planted", [400, 550])
+    def test_refusal_of_one_point_names_what_the_sweep_names(self, planted):
+        f = np.arange(1, 601) * 1e7
+        s = np.zeros((600, 3, 3), dtype=complex)
+        s[400] = np.diag([1.0 - 1e-14, 0.5, 0.5])     # cond(I - S) = 5e13
+        s[550] = np.eye(3)                             # I - S singular
+        s[:planted] = 0.0
+        errors = []
+        for sweep in (SSweep(f, s), SSweep(f[planted:planted + 1], s[planted:planted + 1])):
+            with pytest.raises(ConversionError) as err:
+                s_to_z(sweep)
+            errors.append((str(err.value), err.value.condition_number))
+        assert errors[0] == errors[1]
+        assert f"at {f[planted]:.6g} Hz" in errors[0][0]
 
     def test_ill_conditioned_point_is_named(self):
         f = np.arange(1, 601) * 1e7
@@ -318,7 +369,8 @@ class TestStackedInverse:
         assert (condition_bound(np.eye(3) - s)[near] > COND_LIMIT).any()
         assert s_to_z(sweep).tobytes() == expected.tobytes()
         for k in [*near[:4], 0, n - 1]:   # one matrix takes the SVD itself
-            assert s_to_z(sweep[k]).z.tobytes() == expected[k].tobytes()
+            lone = SSweep(f[k:k + 1], s[k:k + 1], sweep.z0)
+            assert s_to_z(lone)[0].tobytes() == expected[k].tobytes()
 
     @pytest.mark.parametrize("planted", [[400, 550], [550], [400], []])
     def test_named_point_stacks_as_the_every_svd_guard(self, planted):
@@ -358,19 +410,19 @@ def reference_s_to_z(sweep):
 
 
 class TestMagnitudes:
+    """The dB columns of s_sweep_csv: 20*log10|s|."""
+
     def test_db_convention_hand_value(self):
         # hand check: |0.05 - 0.05j| = 0.0707..., dB = 20*log10
-        value = 0.05 - 0.05j
-        assert magnitude_db(value) == pytest.approx(
+        assert db(0.05 - 0.05j) == pytest.approx(
             20 * math.log10(math.hypot(0.05, 0.05)), rel=1e-12)
 
     def test_db_of_model_point_matches_direct_formula(self):
-        sp = model_s(2.5e9)
-        assert magnitude_db(sp.s[1, 0]) == pytest.approx(
-            20 * math.log10(abs(sp.s[1, 0])), rel=1e-12)
+        s21 = model_s(2.5e9).s[0, 1, 0]
+        assert db(s21) == pytest.approx(20 * math.log10(abs(s21)), rel=1e-12)
 
     def test_zero_maps_to_minus_inf(self):
-        assert magnitude_db(0.0) == float("-inf")
+        assert db(0.0) == float("-inf")
 
 
 class TestCsv:

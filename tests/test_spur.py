@@ -96,8 +96,6 @@ class TestTransfer:
         with pytest.raises(ValidationError):
             substrate_transfer(0.0, GEOM, MAT)
         with pytest.raises(ValidationError):
-            substrate_transfer(1e9, GEOM, MAT, termination=-50.0)
-        with pytest.raises(ValidationError):
             substrate_transfer(1e9, GEOM, MAT, substrate_load=0.0)
         # a bad frequency of a vector is named as a plain number
         with pytest.raises(ValidationError, match=r"^frequency must be finite and positive, "

@@ -89,7 +89,7 @@ class TestWriter:
 
     def test_point_list_rejected(self):
         with pytest.raises(ValidationError, match="needs an SSweep, got list"):
-            write_s3p(list(model_sweep(n=2)), io.StringIO())
+            write_s3p(list(model_sweep(n=2).s), io.StringIO())
 
     def test_bad_format_rejected(self):
         with pytest.raises(ValidationError):
@@ -130,17 +130,17 @@ class TestRoundTrip:
         sweep = model_sweep(n=9)
         doc = read_s3p(write_text(sweep, fmt=fmt))
         assert len(doc.records) == 9
-        for sp, (f, m) in zip(sweep, doc.records):
-            assert f == pytest.approx(sp.frequency, rel=1e-8)
-            assert np.abs(m - sp.s).max() <= 1e-8 * np.abs(sp.s).max()
+        assert doc.records.frequencies == pytest.approx(sweep.frequency, rel=1e-8)
+        scale = np.abs(sweep.s).max(axis=(1, 2))
+        assert (np.abs(doc.records.matrices - sweep.s).max(axis=(1, 2)) <= 1e-8 * scale).all()
 
     @pytest.mark.parametrize("fmt", ["RI", "MA"])
     def test_random_sweep_roundtrip(self, fmt):
         rng = np.random.default_rng(3)
         sweep = random_sweep(rng)
         doc = read_s3p(write_text(sweep, fmt=fmt))
-        for sp, (f, m) in zip(sweep, doc.records):
-            assert np.abs(m - sp.s).max() <= 1e-8 * np.abs(sp.s).max()
+        scale = np.abs(sweep.s).max(axis=(1, 2))
+        assert (np.abs(doc.records.matrices - sweep.s).max(axis=(1, 2)) <= 1e-8 * scale).all()
 
     def test_ma_and_ri_emissions_agree(self):
         # both texts quantize to 9 significant digits, so the twins can only
@@ -155,8 +155,8 @@ class TestRoundTrip:
     def test_document_to_sparams(self):
         sweep = model_sweep(n=3)
         points = read_s3p(write_text(sweep)).as_sparams()
-        assert [p.z0 for p in points] == [50.0, 50.0, 50.0]
-        assert [p.frequency for p in points] == pytest.approx([p.frequency for p in sweep])
+        assert isinstance(points, SSweep) and points.z0 == 50.0 and points.s.shape == (3, 3, 3)
+        assert points.frequency == pytest.approx(sweep.frequency)
 
 
 MINIMAL = """\
