@@ -25,9 +25,9 @@ Two independent computation routes are provided: closed-form branch algebra
 frequency by `z_matrix_at`) and modified nodal analysis with unit current
 injection (`z_matrix_mna`).  They must agree to 1e-9; `verify_dual_route`
 checks that.  The nodal route lists the six elements as branches between
-five nodes (`nodal_branches`); `nodal_solve` stamps them into one complex128
-matrix, or one stack over the frequency axis, solves it with one LAPACK call
-and refines the solution from the branch currents.
+five nodes (`nodal_branches`); `nodal_solve` factors their stamped matrix
+elementwise over the frequency axis and refines the node voltages from the
+branch currents until each frequency has converged.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NetworkDegeneracyError, ValidationError
-from .numerics import csv_text, solve_extended
+from .numerics import csv_text
 from .params import MaterialParams, TsvGeometry, is_finite_real
 from .rlgc import RlgcElements, rlgc_at
 
@@ -46,11 +46,13 @@ from .rlgc import RlgcElements, rlgc_at
 # the nodal matrix numerically indistinguishable from singular.
 MIN_ELEMENT = 1e-30
 
-# Nodes of the nodal route, the indices of ports 1, 2 and 3 among them, and
-# the refinement steps of every nodal solve (see `nodal_branches`, `nodal_solve`).
+# Nodes of the nodal route, the indices of ports 1, 2 and 3 among them, and the fewest
+# and most refinement steps of a member, ended by a small correction (`nodal_solve`).
 NODES = 5
 PORT_INDEX = [0, 3, 2]
 REFINE_STEPS = 2
+MAX_REFINE_STEPS = 30
+CONVERGED = 4.0 * np.finfo(float).eps
 
 # The most frequencies a grid may hold, and the most steps a CLI sweep may take:
 # a size is refused before anything is allocated for it.
@@ -211,55 +213,94 @@ def nodal_branches(f, elements: RlgcElements, r_half) -> list:
             (3, 4, s * elements.c_ox), (4, None, s * elements.c_d)]
 
 
-def nodal_solve(branches, rhs: np.ndarray) -> np.ndarray:
-    """Node voltages, (5, r) or (N, 5, r), of ``branches`` for (5, r) injected currents ``rhs``.
+def _factor(branches, n: int):
+    """Y = L U of the stamped ``branches`` in node order, without pivoting, each entry (n,).
 
-    The branches are stamped into the nodal matrix Y, which LAPACK inverts,
-    and x = Y^-1 rhs is refined REFINE_STEPS times by x += Y^-1 (rhs - Y x),
-    with the residual summed from the branch currents y (x_a - x_b), never
-    from Y, whose diagonal sums round admittances 12 decades apart (iterative
-    refinement; Higham, *Accuracy and Stability of Numerical Algorithms*,
-    ch. 12).  A fixed step count gives a stack member its bits when alone.
+    Y is symmetric, so U = D L^T: returns D^-1, the reciprocal pivots, and the
+    structural nonzeros of L below the diagonal, keyed (column, row).
     """
-    shape = np.broadcast_shapes(*(np.shape(admittance) for _, _, admittance in branches))
-    y = np.zeros(shape + (NODES, NODES), dtype=complex)
+    u = {(k, k): np.zeros(n, dtype=complex) for k in range(NODES)}
     for a, b, admittance in branches:
-        y[..., a, a] += admittance
+        u[a, a] = u[a, a] + admittance
         if b is not None:
-            y[..., b, b] += admittance
-            y[..., a, b] -= admittance
-            y[..., b, a] -= admittance
-    inv = solve_extended(y, np.broadcast_to(np.eye(NODES), y.shape))
-    x = inv @ rhs
-    with np.errstate(all="ignore"):   # overflow shows as a non-finite solution
-        for _ in range(REFINE_STEPS):
-            residual = np.array(np.broadcast_to(rhs, x.shape), dtype=complex)
-            for a, b, admittance in branches:
-                drop = x[..., a, :] if b is None else x[..., a, :] - x[..., b, :]
-                current = np.expand_dims(admittance, -1) * drop
-                residual[..., a, :] -= current
+            u[b, b] = u[b, b] + admittance
+            u[min(a, b), max(a, b)] = u.get((min(a, b), max(a, b)), 0.0) - admittance
+    inv, low = [], {}
+    for k in range(NODES):
+        inv.append(1.0 / u.pop((k, k)))
+        right = [j for j in range(k + 1, NODES) if (k, j) in u]
+        for i in right:
+            low[k, i] = u[k, i] * inv[k]
+            for j in right[right.index(i):]:
+                u[i, j] = u.get((i, j), 0.0) - low[k, i] * u[k, j]
+    return inv, low
+
+
+def _lu_solve(factors, x: np.ndarray) -> None:
+    """Overwrite a (NODES, r, n) ``x`` with Y^-1 x: solve by L, then D, then L^T."""
+    inv, low = factors
+    v = list(x)   # the node rows, updated in place: no (r, n) result is kept
+    for (k, i), lik in low.items():
+        v[i] -= lik * v[k]
+    for i in range(NODES):
+        v[i] *= inv[i]
+    for (k, i), lik in reversed(low.items()):
+        v[k] -= lik * v[i]
+
+
+def nodal_solve(f: np.ndarray, branches, rhs: np.ndarray) -> np.ndarray:
+    """Node voltages (N, NODES, r) of ``branches`` at an (N,) ``f`` for (NODES, r) currents ``rhs``.
+
+    Admittances are scalars or (N,) arrays.  Y is factored over the frequency
+    axis (`_factor`) and x = Y^-1 rhs refined by x += Y^-1 (rhs - Y x), the
+    residual summed from the branch currents, never from Y, whose diagonal sums
+    round admittances 12 decades apart (Higham, *Accuracy and Stability of
+    Numerical Algorithms*, ch. 12).  After REFINE_STEPS steps only the members
+    with a column correction above CONVERGED of that column's largest voltage
+    step on, so a member gets the same bits alone.  One still open after
+    MAX_REFINE_STEPS, or non-finite (a zero pivot), raises
+    :class:`NetworkDegeneracyError` naming its frequency.
+    """
+    with np.errstate(all="ignore"):   # a zero pivot or an overflow shows as non-finite
+        rhs = np.asarray(rhs, dtype=complex)[..., None]   # (NODES, r, 1), broadcast over f
+        factors, x = _factor(branches, len(f)), np.repeat(rhs, len(f), axis=2)
+        _lu_solve(factors, x)
+        members, xs, d = np.arange(len(f)), x, np.empty_like(x)
+        for step in range(1, MAX_REFINE_STEPS + 1):
+            d[...] = rhs   # the residual: rhs minus the branch currents y (x_a - x_b)
+            rows = list(d)
+            for a, b, y in branches:
+                current = y * (xs[a] if b is None else xs[a] - xs[b])
+                rows[a] -= current
                 if b is not None:
-                    residual[..., b, :] += current
-            x += inv @ residual
-    return x
+                    rows[b] += current
+            _lu_solve(factors, d)
+            xs += d
+            if xs is not x:
+                x[..., members] = xs
+            open_ = step < REFINE_STEPS or \
+                ~(abs(d).max(axis=0) <= CONVERGED * abs(xs).max(axis=0)).all(axis=0)
+            if not np.any(open_):
+                return x.transpose(2, 0, 1)
+            if not np.all(open_):
+                members, xs = members[open_], xs.compress(open_, axis=2)
+                branches = [(a, b, y[open_] if np.ndim(y) else y) for a, b, y in branches]
+                factors, d = _factor(branches, len(members)), np.empty_like(xs)
+    fk = float(f[members[0]])   # a NaN never converges
+    what = ("nodal refinement did not converge" if np.isfinite(xs[..., 0]).all()
+            else "non-finite nodal solution")
+    raise NetworkDegeneracyError(f"{what} at {fk:.6g} Hz", frequency=fk)
 
 
-def _port_z(f, elements: RlgcElements, r_half) -> np.ndarray:
-    """Open-circuit port voltages for unit port currents: (3, 3), or (N, 3, 3) over f."""
-    rhs = np.zeros((NODES, 3))
-    rhs[PORT_INDEX, range(3)] = 1.0
-    try:
-        v = nodal_solve(nodal_branches(f, elements, r_half), rhs)
-    except NetworkDegeneracyError as err:
-        fk = float(np.atleast_1d(f)[err.index])
-        raise NetworkDegeneracyError(
-            f"singular nodal matrix at {fk:.6g} Hz", frequency=fk) from err
-    z = v[..., PORT_INDEX, :]
-    bad = np.flatnonzero(~np.isfinite(z).all(axis=(-2, -1)))
+def frequency_stack(f) -> np.ndarray:
+    """``f`` Hz, one frequency or a nonempty vector of them, finite and positive, as (N,)."""
+    freqs = np.asarray(f, dtype=float)
+    if freqs.ndim > 1 or not freqs.size:
+        raise ValidationError(f"need one frequency or a nonempty vector, got shape {freqs.shape}")
+    bad = freqs[~((freqs > 0) & np.isfinite(freqs))]
     if bad.size:
-        fk = float(np.atleast_1d(f)[bad[0]])
-        raise NetworkDegeneracyError(f"non-finite nodal solution at {fk:.6g} Hz", frequency=fk)
-    return z
+        raise ValidationError(f"frequency must be finite and positive, got {bad[0].item()!r}")
+    return freqs.reshape(-1)
 
 
 def z_matrix_mna(f, elements: RlgcElements):
@@ -267,21 +308,18 @@ def z_matrix_mna(f, elements: RlgcElements):
 
     Each column is obtained by injecting 1 A into one port and reading the
     open-circuit node voltages.  ``f`` is one frequency, giving a
-    :class:`ThreePortZ`, or an (N,) vector, giving an (N, 3, 3) array
-    from one stacked solve.  The half-segment resistance
+    :class:`ThreePortZ`, or an (N,) vector, giving an (N, 3, 3) array from
+    one stacked solve; one frequency is solved as a one-point stack, so it
+    gets the bits of that stack member.  The half-segment resistance
     ``elements.r_half`` is a scalar or an (N,) array at ``f``.
     """
-    freqs = np.asarray(f, dtype=float)
-    bad = ~((freqs > 0) & np.isfinite(freqs))
-    if bad.any():
-        raise ValidationError(
-            f"frequency must be finite and positive, got {float(freqs[bad][0])!r}")
+    freqs = frequency_stack(f)
     r_half = elements.r_half
-    if np.ndim(r_half) and np.shape(r_half) != freqs.shape:
+    if np.ndim(r_half) and np.shape(r_half) != np.shape(f):
         raise ValidationError(f"elements hold {np.size(r_half)} frequencies, f {freqs.size}")
-    if freqs.ndim == 0:
-        return ThreePortZ(frequency=f, z=_port_z(f, elements, r_half))
-    return _port_z(freqs, elements, r_half)
+    rhs = np.eye(NODES)[:, PORT_INDEX]   # 1 A into each port
+    z = nodal_solve(freqs, nodal_branches(freqs, elements, r_half), rhs)[:, PORT_INDEX]
+    return z if np.ndim(f) else ThreePortZ(frequency=f, z=z[0])
 
 
 def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> ZSweep:

@@ -33,7 +33,8 @@ import numpy as np
 
 from .errors import (CalibrationWarning, ModelValidityError, NarrowbandWarning,
                      ValidationError)
-from .network import NODES, PORT_INDEX, branch_impedances, nodal_branches, nodal_solve
+from .network import (NODES, PORT_INDEX, branch_impedances, frequency_stack, nodal_branches,
+                      nodal_solve)
 from .params import MaterialParams, TsvGeometry, _require_positive_fields, is_finite_real
 from .rlgc import rlgc_at
 
@@ -79,9 +80,8 @@ def substrate_transfer(f, geom: TsvGeometry, mat: MaterialParams,
     from :func:`~tsvkit.network.branch_impedances`, not from the 3x3 Z-matrix,
     whose Z11 = Z_seg + Z_lat + Z_stack cancels ~8 digits at low frequency.
     """
-    if substrate_load is not None and not (substrate_load > 0 and math.isfinite(substrate_load)):
-        raise ValidationError(
-            f"substrate_load must be positive, finite or None, got {substrate_load!r}")
+    if substrate_load is not None:
+        _require("substrate_load", substrate_load, "positive, finite or None", lowest=5e-324)
     if isinstance(f, np.generic):
         f = float(f)   # a numpy scalar would carry the algebra in slower numpy scalars
     z_seg, z_lat, z_stack = branch_impedances(f, rlgc_at(f, geom, mat))
@@ -98,16 +98,18 @@ def substrate_transfer(f, geom: TsvGeometry, mat: MaterialParams,
 def substrate_transfer_mna(f, geom: TsvGeometry, mat: MaterialParams,
                            substrate_load: float | None = None):
     """Same transfer by nodal analysis (an (N,) ``f`` as one stack); verification route."""
-    el = rlgc_at(f, geom, mat)
+    if substrate_load is not None:
+        _require("substrate_load", substrate_load, "positive, finite or None", lowest=5e-324)
+    freqs = frequency_stack(f)
+    el = rlgc_at(freqs, geom, mat)
     p1, p2, p3 = PORT_INDEX
     loads = [(p3, None, 1.0 / TERMINATION)]
     if substrate_load is not None:
         loads.append((p2, None, 1.0 / substrate_load))
-    rhs = np.zeros((NODES, 1))
-    rhs[p1] = 1.0
-    v = nodal_solve(nodal_branches(f, el, el.r_half) + loads, rhs)[..., 0]
-    h = v[..., p2] / v[..., p1]
-    return h if h.ndim else complex(h)
+    rhs = np.eye(NODES)[:, [p1]]   # 1 A into port 1
+    v = nodal_solve(freqs, nodal_branches(freqs, el, el.r_half) + loads, rhs)[..., 0]
+    h = v[:, p2] / v[:, p1]
+    return h if np.ndim(f) else complex(h[0])
 
 
 def _require(name, value, rule, lowest=0.0, highest=sys.float_info.max, kinds="fiu"):

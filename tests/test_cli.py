@@ -359,6 +359,17 @@ class TestValidate:
             "PASS dual_route_z", "PASS reciprocity", "PASS passivity", "FAIL z_s_roundtrip",
             "PASS touchstone_roundtrip", "PASS transfer_dual_route"]
 
+    def test_nodal_route_holds_on_a_thin_short_via_from_1khz_to_1thz(self, capsys):
+        # on this thin short via 904 of the 2,001 frequencies need more than two refinement steps
+        code, out, err = run(capsys, "validate", "--radius", "2.62e-6", "--liner-thickness",
+                             "6.89e-7", "--height", "1.31e-5", "--pitch", "7.412e-5",
+                             "--sigma-si", "3.97", "--f-start", "1e3", "--f-stop", "1e12",
+                             "--points", "2001")
+        assert code == 1 and err == ""
+        assert [line.split(":")[0] for line in out.splitlines()] == [
+            "PASS dual_route_z", "PASS reciprocity", "PASS passivity", "FAIL z_s_roundtrip",
+            "PASS touchstone_roundtrip", "PASS transfer_dual_route"]
+
     @pytest.mark.parametrize("error", [1e-6, float("nan")])
     def test_dual_route_disagreement_is_a_fail_line(self, error, monkeypatch, capsys):
         import tsvkit.network

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tsvkit.network
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
                     NetworkDegeneracyError, ValidationError, substrate_transfer_mna)
 from tsvkit.network import (MIN_ELEMENT, NODES, PORT_INDEX, Z_CSV_HEADER, nodal_branches,
@@ -206,8 +207,25 @@ def seeded_design(seed):
     return geom, replace(MAT, sigma_si=MAT.sigma_si * scale[3])
 
 
-ORACLE_DESIGNS = [(GEOM, MAT), seeded_design(1), seeded_design(2)]
-ORACLE_FREQUENCIES = [1e3, 1e4, 1e6, 1e9, 1e12]
+def accepted_design(seed):
+    """A design drawn log-uniformly over the accepted ranges: radius 0.5-20 um, height
+    5-300 um, liner 10 nm-2 um (below the radius), sigma_si 0.1-1e4 S/m, pitch 2.2-40 x (r + t)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(low, high):
+        return float(np.exp(rng.uniform(np.log(low), np.log(high))))
+
+    while True:
+        radius, liner, height = draw(0.5e-6, 20e-6), draw(10e-9, 2e-6), draw(5e-6, 300e-6)
+        sigma_si, pitch = draw(0.1, 1e4), draw(2.2, 40.0) * (radius + liner)
+        if liner < radius:
+            return (replace(GEOM, radius=radius, liner_thickness=liner, height=height, pitch=pitch),
+                    replace(MAT, sigma_si=sigma_si))
+
+
+ORACLE_DESIGNS = ([(GEOM, MAT), seeded_design(1), seeded_design(2)]
+                  + [accepted_design(seed) for seed in range(12)])
+ORACLE_FREQUENCIES = np.array([1e3, 1e4, 1e6, 1e9, 1e12])
 
 
 class TestExactOracle:
@@ -218,10 +236,11 @@ class TestExactOracle:
         geom, mat = ORACLE_DESIGNS[design]
         rhs = np.zeros((NODES, 3))
         rhs[PORT_INDEX, range(3)] = 1.0
-        for f in ORACLE_FREQUENCIES:
+        z = z_matrix_mna(ORACLE_FREQUENCIES, rlgc_at(ORACLE_FREQUENCIES, geom, mat))
+        for k, f in enumerate(ORACLE_FREQUENCIES):
             el = rlgc_at(f, geom, mat)
             exact = exact_node_voltages(nodal_branches(f, el, el.r_half), rhs)[PORT_INDEX]
-            assert np.abs((z_matrix_mna(f, el).z - exact) / exact).max() <= 1e-12
+            assert np.abs((z[k] - exact) / exact).max() <= 1e-12
 
     @pytest.mark.parametrize("design", range(len(ORACLE_DESIGNS)))
     def test_loaded_transfer_within_1e12_of_the_exact_solve(self, design):
@@ -229,14 +248,15 @@ class TestExactOracle:
         p1, p2, p3 = PORT_INDEX
         rhs = np.zeros((NODES, 1))
         rhs[p1] = 1.0
-        for f in ORACLE_FREQUENCIES:
+        h = substrate_transfer_mna(ORACLE_FREQUENCIES, geom, mat,
+                                   substrate_load=REPLICA_SUBSTRATE_LOAD)
+        for k, f in enumerate(ORACLE_FREQUENCIES):
             el = rlgc_at(f, geom, mat)
             branches = nodal_branches(f, el, el.r_half) + [
                 (p3, None, 1.0 / 50.0 + 0j), (p2, None, 1.0 / REPLICA_SUBSTRATE_LOAD + 0j)]
             v = exact_node_voltages(branches, rhs)[:, 0]
             exact = v[p2] / v[p1]
-            h = substrate_transfer_mna(f, geom, mat, substrate_load=REPLICA_SUBSTRATE_LOAD)
-            assert abs(h - exact) <= 1e-12 * abs(exact)
+            assert abs(h[k] - exact) <= 1e-12 * abs(exact)
 
 
 class TestStackedMna:
@@ -258,8 +278,41 @@ class TestStackedMna:
         for k in range(3):
             assert z[k].tobytes() == z_matrix_mna(float(f[k]), EL_1GHZ).z.tobytes()
 
+    def test_member_refined_past_the_stack_steps_gets_its_bits_alone(self, monkeypatch):
+        # below 1 MHz some members take more than REFINE_STEPS steps; those
+        # steps factor the open members again, as a smaller stack
+        f = FrequencyGrid.logarithmic(1e3, 1e12, 2001).points
+        stacks = []
+        factor = tsvkit.network._factor
+        monkeypatch.setattr(tsvkit.network, "_factor", lambda branches, n:
+                            stacks.append(branches[0][2]) or factor(branches, n))
+        z = z_matrix_mna(f, rlgc_at(f, GEOM, MAT))
+        late = np.flatnonzero(np.isin(stacks[0], stacks[-1]))   # the members refined longest
+        assert 0 < late.size < f.size / 2
+        for k in late[::max(1, late.size // 10)]:
+            assert z[k].tobytes() == z_matrix_mna(f[k], rlgc_at(f[k], GEOM, MAT)).z.tobytes()
+
+    def test_a_member_still_open_at_the_cap_is_named(self, monkeypatch):
+        monkeypatch.setattr(tsvkit.network, "MAX_REFINE_STEPS", tsvkit.network.REFINE_STEPS)
+        f = FrequencyGrid.logarithmic(1e3, 1e12, 201).points
+        with pytest.raises(NetworkDegeneracyError,
+                           match=r"^nodal refinement did not converge at [0-9.e+]+ Hz$") as err:
+            z_matrix_mna(f, rlgc_at(f, GEOM, MAT))
+        assert err.value.frequency in f
+
+    def test_a_floating_node_is_a_named_non_finite_solution(self, monkeypatch):
+        # without the C_ox -- C_d stack the internal node has no branch: a zero pivot
+        monkeypatch.setattr(tsvkit.network, "nodal_branches",
+                            lambda *args: nodal_branches(*args)[:-2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NetworkDegeneracyError,
+                               match=r"^non-finite nodal solution at 2e\+09 Hz$") as err:
+                z_matrix_mna(np.array([2e9, 1e9]), EL_1GHZ)
+        assert err.value.frequency == 2e9
+
     def test_rejects_bad_frequencies(self):
-        for f in ([1e9, 0.0], [1e9, np.inf], [np.nan]):
+        for f in ([1e9, 0.0], [1e9, np.inf], [np.nan], [], [[1e9, 2e9]]):
             with pytest.raises(ValidationError):
                 z_matrix_mna(np.array(f), EL_1GHZ)
 

@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 import reference_values as ref
 from tsvkit import (CalibrationWarning, DEFAULT_GEOMETRY, DEFAULT_MATERIALS,
-                    ModelValidityError, NarrowbandWarning, OscillatorModel,
-                    ValidationError)
+                    ModelValidityError, NarrowbandWarning, NetworkDegeneracyError,
+                    OscillatorModel, ValidationError)
 from tsvkit.cli import main
 from tsvkit.spur import (BUILTIN_CALIBRATION_POINTS, REPLICA_SUBSTRATE_LOAD, amplitude_sweep,
                          bessel_j0, bessel_j1, builtin_oscillator, calibrate_k_sub,
@@ -101,6 +101,27 @@ class TestTransfer:
         with pytest.raises(ValidationError, match=r"^frequency must be finite and positive, "
                                                   r"got 0\.0$"):
             substrate_transfer(np.array([1e9, 0.0, -1.0]), GEOM, MAT)
+
+    @pytest.mark.parametrize("load", [0.0, -5.0, math.nan, math.inf])
+    def test_both_routes_refuse_a_bad_substrate_load(self, load):
+        for route in (substrate_transfer, substrate_transfer_mna):
+            with pytest.raises(ValidationError, match="^substrate_load must be positive"):
+                route(1e9, GEOM, MAT, substrate_load=load)
+
+    def test_nodal_route_needs_one_frequency_or_a_nonempty_vector(self):
+        for f in (np.array([]), np.full((2, 2), 1e9)):
+            with pytest.raises(ValidationError, match="^need one frequency or a nonempty vector"):
+                substrate_transfer_mna(f, GEOM, MAT)
+
+    def test_nodal_route_names_a_non_finite_solution(self, monkeypatch):
+        # without the C_ox -- C_d stack the internal node has no branch: a zero pivot
+        import tsvkit.spur
+        from tsvkit.network import nodal_branches
+        monkeypatch.setattr(tsvkit.spur, "nodal_branches", lambda *args: nodal_branches(*args)[:-2])
+        with pytest.raises(NetworkDegeneracyError,
+                           match=r"^non-finite nodal solution at 1e\+09 Hz$") as err:
+            substrate_transfer_mna(1e9, GEOM, MAT, substrate_load=REPLICA_SUBSTRATE_LOAD)
+        assert err.value.frequency == 1e9
 
 
 class TestScenario:
