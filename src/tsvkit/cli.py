@@ -8,7 +8,6 @@ every subcommand validates its full configuration before writing anything.
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import math
 import sys
@@ -16,17 +15,18 @@ import sys
 import numpy as np
 
 from . import __version__
+from .checks import run_checks
 from .errors import ConfigError, TsvKitError, ValidationError
-from .network import MAX_POINTS, FrequencyGrid, verify_dual_route, z_sweep, z_sweep_csv
+from .network import MAX_POINTS, FrequencyGrid, z_sweep, z_sweep_csv
 from .numerics import csv_text
 from .params import (GEOMETRY_KEYS, MATERIAL_KEYS, geometry_from_mapping, load_config,
                      materials_from_mapping)
 from .rlgc import c_d, c_ox, c_si_g_si, depletion_width, l_tsv, r_dc
-from .sparams import max_singular_value, s_sweep, s_sweep_csv, s_to_z
+from .sparams import s_sweep, s_sweep_csv
 from .spur import (BUILTIN_CALIBRATION_POINTS, DEFAULT_F_OSC, REPLICA_SUBSTRATE_LOAD,
                    OscillatorModel, amplitude_sweep, calibrate_k_sub, frequency_sweep,
-                   slope_per_octave, substrate_transfer, substrate_transfer_mna)
-from .touchstone import read_s3p, write_s3p
+                   slope_per_octave)
+from .touchstone import write_s3p
 
 GRID_KEYS = ("f_start", "f_stop", "points", "spacing")
 SPUR_KEYS = ("f_osc", "k_sub", "substrate_load", "z0")
@@ -306,59 +306,13 @@ def cmd_spur(args) -> int:
 
 
 def cmd_validate(args) -> int:
-    """Run the six self-checks; each is reported PASS or FAIL, exit 1 on any FAIL.
+    """Print each check of :mod:`tsvkit.checks` as PASS or FAIL; exit 1 on any FAIL.
 
-    A reference route that refuses its input (an ill-conditioned ``I - S``,
-    a file the writer or reader refuses) fails its check with the reason.
-    An error before the checks can run (flags, config, building the sweep)
-    ends the command with exit 2.
+    An error before the checks can run (flags, config, building the sweep) exits 2.
     """
     geom, mat, grid, values = _resolve(args)
-    z0 = _pick(args, values, "z0", 50.0)
     zs = z_sweep(grid, geom, mat)
-    ss = s_sweep(zs, z0=z0)
-    s = ss.s
-    s_scale = np.abs(s).max(axis=(1, 2))
-
-    # Each check is a route returning (passed, detail), named after the check.
-    def dual_route_z():
-        worst = verify_dual_route(zs, geom, mat, rtol=None)
-        return worst <= 1e-9, f"worst relative disagreement {worst:.3e}"
-
-    def reciprocity():
-        worst = float((np.abs(s - s.transpose(0, 2, 1)).max(axis=(1, 2)) / s_scale).max())
-        return worst <= 1e-9, f"worst |S - S^T|/|S| = {worst:.3e}"
-
-    def passivity():
-        worst = float(max_singular_value(ss).max())
-        return worst <= 1.0 + 1e-9, f"max singular value {worst:.12f}"
-
-    def z_s_roundtrip():
-        worst = float((np.abs(s_to_z(ss) - zs.z) / np.abs(zs.z)).max())
-        return worst <= 1e-9, f"worst relative error {worst:.3e}"
-
-    def touchstone_roundtrip():
-        buf = io.StringIO()
-        write_s3p(ss, buf, fmt="RI")
-        m = read_s3p(buf.getvalue()).records.matrices
-        worst = float((np.abs(s - m).max(axis=(1, 2)) / np.maximum(s_scale, 1e-30)).max())
-        return worst <= 1e-8, f"worst relative error {worst:.3e}"
-
-    def transfer_dual_route():
-        h_a = substrate_transfer(1e9, geom, mat)
-        rel = abs(h_a - substrate_transfer_mna(1e9, geom, mat)) / abs(h_a)
-        return rel <= 1e-9, f"relative disagreement {rel:.3e}"
-
-    checks = []
-    with np.errstate(all="ignore"):   # a NaN or inf worst value fails its check
-        for route in (dual_route_z, reciprocity, passivity, z_s_roundtrip, touchstone_roundtrip,
-                      transfer_dual_route):
-            try:
-                passed, detail = route()
-            except TsvKitError as err:   # a route that refuses its input fails its check
-                passed, detail = False, str(err)
-            checks.append({"name": route.__name__, "passed": bool(passed), "detail": detail})
-
+    checks = run_checks(zs, s_sweep(zs, z0=_pick(args, values, "z0", 50.0)), geom, mat)
     passed = all(c["passed"] for c in checks)
     if args.json:
         _print_json({"checks": checks, "passed": passed})

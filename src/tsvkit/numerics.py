@@ -55,33 +55,22 @@ from .errors import NetworkDegeneracyError, ValidationError
 
 
 def solve_extended(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b in complex128 by LAPACK (``np.linalg.solve``).
+    """Solve each a @ x = b of an (N, n, n) stack ``a`` and (N, n, r) columns ``b`` by LAPACK.
 
-    ``a`` is one (n, n) matrix or a stack (N, n, n).  ``b`` holds one
-    right-hand-side vector per matrix (shape ``a.shape[:-1]``) or columns of
-    them (``a.shape[:-1] + (r,)``).  Each member of a stack is factored as it
-    would be alone, so it gets the same bits.  Raises
-    :class:`NetworkDegeneracyError` on an exactly singular matrix; its
-    ``index`` is the first singular member of the stack (0 for one matrix).
+    Each member is factored as it would be alone, so it gets the same bits in
+    any stack.  Raises :class:`NetworkDegeneracyError` on an exactly singular
+    matrix; its ``index`` is the first singular member.
     """
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    n = a.shape[-1]
-    # Explicit columns (N, n, r): numpy 2 reads an (N, n) right-hand side as
-    # one matrix, where numpy 1 reads it as N vectors.
-    cols = b.reshape(-1, n, 1 if b.ndim < a.ndim else b.shape[-1])
-    a = a.reshape(-1, n, n)
     try:
-        x = np.linalg.solve(a, cols)
+        return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         # LAPACK refuses the whole stack: name its first singular member
         for k in range(len(a)):
             try:
-                np.linalg.solve(a[k], cols[k])
+                np.linalg.solve(a[k], b[k])
             except np.linalg.LinAlgError:
                 raise NetworkDegeneracyError("singular matrix in linear solve", index=k) from None
         raise
-    return x.reshape(b.shape)
 
 
 def condition_number(a: np.ndarray) -> np.ndarray:

@@ -142,10 +142,11 @@ def modal_s(frequency, z_seg, z_lat, z_stack, z0: float = 50.0) -> np.ndarray:
     with np.errstate(all="ignore"):
         e = a + 2.0 * b
         d_odd = a + z0
-        d_even = (e + z0) * (c + z0) + 2.0 * z0 * c
+        c_z0 = c + z0   # named: from 16,384 values numpy computes b * (c + z0) as (c + z0) * b
+        d_even = (e + z0) * c_z0 + 2.0 * z0 * c
         d_both = d_even * d_odd
         s11 = ((c + z0) * (a * e - z0 * z0) + 2.0 * z0 * a * c) / d_both
-        s13 = 2.0 * z0 * (b * (c + z0) + z0 * c) / d_both
+        s13 = 2.0 * z0 * (b * c_z0 + z0 * c) / d_both
         s12 = 2.0 * z0 * c / d_even
         s22 = ((e + z0) * (c - z0) - 2.0 * z0 * c) / d_even
     s = np.stack([s11, s12, s13,

@@ -88,10 +88,9 @@ def substrate_transfer(f, geom: TsvGeometry, mat: MaterialParams,
     z_down = z_stack if substrate_load is None else \
         z_stack * substrate_load / (z_stack + substrate_load)
     z_sub_path = z_lat + z_down
-    y_sub_path = 1.0 / z_sub_path
-    y_thru_path = 1.0 / (z_seg + TERMINATION)
+    y_paths = 1.0 / z_sub_path + 1.0 / (z_seg + TERMINATION)   # named, as in sparams.modal_s
     v2_over_vm = z_down / z_sub_path
-    vm_over_v1 = 1.0 / (1.0 + z_seg * (y_sub_path + y_thru_path))
+    vm_over_v1 = 1.0 / (1.0 + z_seg * y_paths)
     return v2_over_vm * vm_over_v1
 
 
@@ -133,28 +132,26 @@ def _require(name, value, rule, lowest=0.0, highest=sys.float_info.max, kinds="f
     raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
-def bessel_j0(x):
-    """Series J0 for small arguments (converges fast for |x| <= 4), elementwise."""
-    term = total = 1.0 + 0.0 * x
+def _bessel_series(x, n: int):
+    """Series J_n, n = 0 or 1, for small arguments (converges fast for |x| <= 4), elementwise."""
+    term = total = 0.5 * x if n else 1.0 + 0.0 * x
     q = 0.25 * x * x
     m = 0
     while np.max(abs(term), initial=0.0) > 1e-18:
         m += 1
-        term = term * (-q / (m * m))
+        term = term * (-q / (m * (m + n)))
         total = total + term
     return total
+
+
+def bessel_j0(x):
+    """Series J0 for small arguments, elementwise."""
+    return _bessel_series(x, 0)
 
 
 def bessel_j1(x):
-    """Series J1 for small arguments (converges fast for |x| <= 4), elementwise."""
-    term = total = 0.5 * x
-    q = 0.25 * x * x
-    m = 0
-    while np.max(abs(term), initial=0.0) > 1e-18:
-        m += 1
-        term = term * (-q / (m * (m + 1)))
-        total = total + term
-    return total
+    """Series J1 for small arguments, elementwise."""
+    return _bessel_series(x, 1)
 
 
 def modulation_index(osc: OscillatorModel, amplitude, f_agg, h):

