@@ -15,13 +15,13 @@ import numpy as np
 
 from .errors import TsvKitError
 from .network import verify_dual_route
-from .sparams import max_singular_value, s_to_z
+from .sparams import PASSIVITY_LIMIT, max_singular_value, s_to_z
 from .spur import substrate_transfer, substrate_transfer_mna
 from .touchstone import read_s3p, write_s3p
 
 DUAL_ROUTE_TOL = 1e-9          # relative, closed form against nodal analysis
 RECIPROCITY_TOL = 1e-9         # |S - S^T| relative to the largest |S| at each frequency
-PASSIVITY_LIMIT = 1.0 + 1e-9   # largest singular value of S
+# PASSIVITY_LIMIT, the gate of the largest singular value of S, is sparams'
 ROUNDTRIP_TOL = 1e-9           # Z -> S -> Z, relative per entry
 TOUCHSTONE_TOL = 1e-8          # S through the 9-digit RI file, relative to the largest |S|
 TRANSFER_PROBE_HZ = 1e9        # where the two substrate-transfer routes are compared

@@ -40,7 +40,8 @@ import numpy as np
 
 from .errors import NetworkDegeneracyError, ValidationError
 from .numerics import csv_text
-from .params import MaterialParams, TsvGeometry, is_finite_real
+from .params import (MaterialParams, TsvGeometry, is_finite_real, require, require_frequency,
+                     require_type)
 from .rlgc import RlgcElements, rlgc_at
 
 # Element values below this are rejected rather than stamped: they would make
@@ -77,15 +78,13 @@ class FrequencyGrid:
     points: np.ndarray
 
     def __post_init__(self):
-        pts = np.array(self.points, dtype=float)
+        pts = np.array(self.points)
         if pts.ndim != 1 or not pts.size:
             raise ValidationError("frequency grid must be a nonempty 1-D sequence")
-        if not pts[0] > 0:
-            raise ValidationError("all grid frequencies must be positive")
+        require_frequency(pts)
+        pts = pts.astype(float, copy=False)
         if not np.all(pts[1:] > pts[:-1]):
             raise ValidationError("grid frequencies must be strictly increasing")
-        if not math.isfinite(pts[-1]):
-            raise ValidationError("grid frequencies must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -180,8 +179,7 @@ def _assemble_z(z_seg, z_lat, z_stack) -> np.ndarray:
 
 def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
     """Closed-form impedance matrix from branch algebra (see :func:`branch_impedances`)."""
-    if not (f > 0 and math.isfinite(f)):
-        raise ValidationError(f"frequency must be finite and positive, got {f!r}")
+    require_frequency(f)
     if isinstance(elements.r_half, np.ndarray):
         raise ValidationError("z_matrix_at needs one-frequency elements; use z_matrix_mna")
     try:
@@ -200,14 +198,9 @@ def nodal_branches(f, elements: RlgcElements, r_half) -> list:
     stack; ``b = None`` is the reference.  Admittances are scalars, or (N,)
     arrays over an (N,) vector ``f``; ``r_half`` is a scalar or an (N,) array.
     """
-    for name, value in (("r_half", np.min(r_half)), ("l_half", elements.l_half),
-                        ("c_ox", elements.c_ox), ("c_d", elements.c_d),
-                        ("c_si", elements.c_si), ("g_si", elements.g_si)):
-        if value < MIN_ELEMENT:
-            raise ValidationError(
-                f"{name} = {value} below {MIN_ELEMENT}: "
-                "degenerate element would produce a singular network"
-            )
+    for name, value in {**vars(elements), "r_half": r_half}.items():
+        require(name, value, "at least {lowest} (a smaller element would make the "
+                "network singular)", lowest=MIN_ELEMENT)
     s = 2j * math.pi * np.asarray(f, dtype=float)
     y_seg = 1.0 / (r_half + s * elements.l_half)
     return [(0, 1, y_seg), (1, 2, y_seg), (1, 3, elements.g_si), (1, 3, s * elements.c_si),
@@ -295,13 +288,8 @@ def nodal_solve(f: np.ndarray, branches, rhs: np.ndarray) -> np.ndarray:
 
 def frequency_stack(f) -> np.ndarray:
     """``f`` Hz, one frequency or a nonempty vector of them, finite and positive, as (N,)."""
-    freqs = np.asarray(f, dtype=float)
-    if freqs.ndim > 1 or not freqs.size:
-        raise ValidationError(f"need one frequency or a nonempty vector, got shape {freqs.shape}")
-    bad = freqs[~((freqs > 0) & np.isfinite(freqs))]
-    if bad.size:
-        raise ValidationError(f"frequency must be finite and positive, got {bad[0].item()!r}")
-    return freqs.reshape(-1)
+    require_frequency(f)
+    return np.asarray(f, dtype=float).reshape(-1)
 
 
 def z_matrix_mna(f, elements: RlgcElements):
@@ -342,6 +330,7 @@ def verify_dual_route(sweep: ZSweep, geom: TsvGeometry, mat: MaterialParams) -> 
 
     ``sweep`` is the ZSweep of ``z_sweep(..., geom, mat)``; NaN or inf where not finite.
     """
+    require_type("verify_dual_route", sweep, ZSweep, "a ZSweep from z_sweep")
     f = sweep.frequency
     mna = z_matrix_mna(f, rlgc_at(f, geom, mat))
     return (np.abs(sweep.z - mna) / np.abs(sweep.z)).max(axis=(1, 2))

@@ -6,8 +6,13 @@ conversion belongs at I/O boundaries, never in formula code.
 
 from __future__ import annotations
 
+import cmath
 import math
-from dataclasses import dataclass, fields, replace
+import os
+import sys
+from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .constants import K_B, Q_E
 from .errors import ConfigError, ValidationError
@@ -27,12 +32,50 @@ def is_finite_real(value) -> bool:
         return False
 
 
+def require(name, value, rule, lowest=0.0, highest=sys.float_info.max, kinds="fiu") -> None:
+    """Raise a ValidationError unless ``value`` is finite and within [lowest, highest].
+
+    ``value`` is a real number or an array whose dtype kind is in ``kinds``
+    (complex if "c" is: its magnitude is bounded); the error names the first
+    value outside, as a plain number, and ``rule``, ``{lowest}``/``{highest}`` filled in.
+    """
+    if type(value) is float and lowest <= value <= highest:
+        return   # the common case, without numpy's per-call cost
+    magnitude = abs if "c" in kinds else (lambda v: v)
+    if isinstance(value, np.ndarray) and value.dtype.kind in kinds:
+        m = magnitude(value).astype(float, copy=False)   # a float32 cannot hold the bounds
+        if not m.size or (lowest <= m.min() and m.max() <= highest):
+            return
+        value = value[~((m >= lowest) & (m <= highest))][0]
+    elif is_finite_real(value) or ("c" in kinds and isinstance(value, complex)
+                                   and cmath.isfinite(value)):
+        if lowest <= magnitude(value) <= highest:
+            return
+    if isinstance(value, np.generic) and value.dtype.kind in kinds:
+        value = value.item()
+    rule = rule.format(lowest=lowest, highest=highest)   # only here: a float costs to format
+    raise ValidationError(f"{name} must be {rule}, got {value!r}")
+
+
+def require_frequency(f) -> None:
+    """Raise a ValidationError unless ``f`` is a finite positive real or a nonempty (N,) array."""
+    if isinstance(f, np.generic):   # a real one is checked as an array is, a str or bool as itself
+        f = np.asarray(f) if f.dtype.kind in "fiu" else f.item()
+    if isinstance(f, np.ndarray) and (f.ndim > 1 or not f.size):
+        raise ValidationError(f"need one frequency or a nonempty vector, got shape {f.shape}")
+    require("frequency", f, "finite and positive", lowest=5e-324)
+
+
+def require_type(caller, value, kind, what) -> None:
+    """Raise a ValidationError naming ``caller`` unless ``value`` is a ``kind``, called ``what``."""
+    if not isinstance(value, kind):
+        raise ValidationError(f"{caller} needs {what}, got {type(value).__name__}")
+
+
 def _require_positive_fields(obj) -> None:
     """Every field must be a finite, strictly positive real number (not a bool)."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if not (is_finite_real(value) and value > 0):
-            raise ValidationError(f"{f.name} must be finite and strictly positive, got {value!r}")
+    for name, value in vars(obj).items():
+        require(name, value, "finite and strictly positive", lowest=5e-324, kinds="")
 
 
 @dataclass(frozen=True)
@@ -90,8 +133,8 @@ def sigma_from_mobility(n_a: float, mu_p: float = 0.045) -> float:
 
     Consistency-check alternative to quoting a bulk resistivity directly.
     """
-    if n_a <= 0 or mu_p <= 0:
-        raise ValidationError("n_a and mu_p must be strictly positive")
+    require("n_a", n_a, "finite and strictly positive", lowest=5e-324, kinds="")
+    require("mu_p", mu_p, "finite and strictly positive", lowest=5e-324, kinds="")
     return Q_E * n_a * mu_p
 
 
@@ -160,8 +203,11 @@ def parse_config_text(text: str, known_keys=None) -> dict:
 
 def load_config(path, known_keys=None) -> dict:
     """Parse a config file, which must be ASCII (see :func:`parse_config_text`)."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except OSError as err:
+        raise ConfigError(f"cannot read {os.fspath(path)!r}: {err.strerror}") from None
     line = non_ascii_line(data)
     if line is not None:
         raise ConfigError(f"line {line}: non-ASCII character (config files are ASCII)")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .constants import EPS_0, MU_0, Q_E
 from .errors import GeometryOverlapError, ValidationError
-from .params import MaterialParams, TsvGeometry
+from .params import MaterialParams, TsvGeometry, require, require_frequency
 
 # Floors guarding the log/acosh singularities, SI units / dimensionless.
 LINER_FLOOR = 1e-12          # m
@@ -41,13 +41,11 @@ class RlgcElements:
     g_si: float       # S, lateral substrate conductance
 
     def __post_init__(self):
-        # Plain float comparisons for scalars: they cost a fraction of numpy's.
+        if isinstance(self.r_half, np.ndarray) and self.r_half.ndim != 1:
+            raise ValidationError("r_half must be a 1-D array of finite positive values")
         for name, value in vars(self).items():
-            if name == "r_half" and isinstance(value, np.ndarray):
-                if not (value.ndim == 1 and (value > 0).all() and np.isfinite(value).all()):
-                    raise ValidationError("r_half must be a 1-D array of finite positive values")
-            elif not (value > 0 and math.isfinite(value)):
-                raise ValidationError(f"{name} must be finite and positive, got {value!r}")
+            require(name, value, "finite and positive", lowest=5e-324,
+                    kinds="fiu" if name == "r_half" else "")
 
 
 def _sqrt(x):
@@ -66,13 +64,7 @@ def skin_depth(f, mat: MaterialParams):
 
     ``f`` is a frequency in Hz or an array of them.
     """
-    if isinstance(f, np.ndarray):
-        bad = ~((f > 0) & np.isfinite(f))
-        if bad.any():
-            f = f[bad][0].item()   # named as a plain number, not its numpy repr
-            raise ValidationError(f"frequency must be finite and positive, got {f!r}")
-    elif not (f > 0 and math.isfinite(f)):
-        raise ValidationError(f"frequency must be finite and positive, got {f!r}")
+    require_frequency(f)
     return _sqrt(mat.rho_cu / (math.pi * f * mat.mu_r * MU_0))
 
 
@@ -93,11 +85,8 @@ def r_total(f, geom: TsvGeometry, mat: MaterialParams):
 
 def c_ox(geom: TsvGeometry, mat: MaterialParams) -> float:
     """Radial liner capacitance 2*pi*eps_ox*eps_0*h / ln((r+t)/r), in farads."""
-    if geom.liner_thickness < LINER_FLOOR:
-        raise ValidationError(
-            f"liner_thickness {geom.liner_thickness} below floor {LINER_FLOOR}: "
-            "the radial capacitance diverges"
-        )
+    require("liner_thickness", geom.liner_thickness, "at least {lowest} (the radial "
+            "capacitance diverges below it)", lowest=LINER_FLOOR, kinds="")
     return (2.0 * math.pi * mat.eps_ox * EPS_0 * geom.height
             / math.log((geom.radius + geom.liner_thickness) / geom.radius))
 
@@ -117,13 +106,8 @@ def depletion_width(mat: MaterialParams) -> float:
 
 def c_d(geom: TsvGeometry, mat: MaterialParams, w_d: float) -> float:
     """Radial depletion capacitance 2*pi*eps_si*eps_0*h / ln((r+t+W)/(r+t)), in farads."""
-    if not (w_d > 0 and math.isfinite(w_d)):
-        raise ValidationError(f"depletion width must be finite and positive, got {w_d!r}")
-    if w_d < DEPLETION_FLOOR:
-        raise ValidationError(
-            f"depletion width {w_d} below floor {DEPLETION_FLOOR}: "
-            "the radial capacitance diverges"
-        )
+    require("depletion width", w_d, "finite and at least {lowest} (the radial "
+            "capacitance diverges below it)", lowest=DEPLETION_FLOOR, kinds="")
     inner = geom.radius + geom.liner_thickness
     return (2.0 * math.pi * mat.eps_si * EPS_0 * geom.height
             / math.log((inner + w_d) / inner))

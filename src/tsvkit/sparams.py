@@ -27,14 +27,14 @@ import numpy as np
 from .errors import ConversionError, NetworkDegeneracyError, ValidationError
 from .network import ThreePortZ, ZSweep
 from .numerics import condition_bound, condition_number, csv_text, solve_extended
-from .params import is_finite_real
+from .params import require, require_type
 
 COND_LIMIT = 1e12
+PASSIVITY_LIMIT = 1.0 + 1e-9   # largest singular value of a passive S (so |h| of a transfer)
 
 
 def _check_z0(z0) -> None:
-    if not (is_finite_real(z0) and z0 > 0):
-        raise ValidationError(f"z0 must be one finite positive number, got {z0!r}")
+    require("z0", z0, "one finite positive number", lowest=5e-324, kinds="")
 
 
 @dataclass(frozen=True, eq=False)
@@ -113,6 +113,7 @@ def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> SSweep:
 
 def s_to_z(sp: SSweep) -> np.ndarray:
     """Invert the scattering conversion of a sweep: Z = z0 (I + S)(I - S)^-1, (N, 3, 3)."""
+    require_type("s_to_z", sp, SSweep, "an SSweep")
     eye = np.eye(3)
     with np.errstate(invalid="ignore"):   # inf * 0 of an inf entry: the guard refuses it
         b = sp.z0 * (eye + sp.s)
@@ -164,8 +165,7 @@ def modal_s(frequency, z_seg, z_lat, z_stack, z0: float = 50.0) -> np.ndarray:
 
 def s_sweep(zs: ZSweep, z0: float = 50.0) -> SSweep:
     """S over a closed-form impedance sweep, by :func:`modal_s`."""
-    if not isinstance(zs, ZSweep):
-        raise ValidationError(f"s_sweep needs a ZSweep from z_sweep, got {type(zs).__name__}")
+    require_type("s_sweep", zs, ZSweep, "a ZSweep from z_sweep")
     _check_z0(z0)   # before modal_s, which would blame a bad z0 on the network
     return SSweep(zs.frequency, modal_s(zs.frequency, zs.z_seg, zs.z_lat, zs.z_stack, z0), z0)
 
@@ -179,6 +179,7 @@ def max_singular_value(sp: SSweep) -> np.ndarray:
     [1/2, 1), so S^H S neither overflows nor underflows; a matrix with a
     non-finite entry gives NaN.
     """
+    require_type("max_singular_value", sp, SSweep, "an SSweep")
     s = sp.s
     big = np.abs(s).max(axis=(-2, -1))
     finite = np.isfinite(big)

@@ -23,9 +23,7 @@ checks by the network's nodal solve.
 
 from __future__ import annotations
 
-import cmath
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 
@@ -35,8 +33,10 @@ from .errors import (CalibrationWarning, ModelValidityError, NarrowbandWarning,
                      ValidationError)
 from .network import (NODES, PORT_INDEX, branch_impedances, frequency_stack, nodal_branches,
                       nodal_solve)
-from .params import MaterialParams, TsvGeometry, _require_positive_fields, is_finite_real
+from .params import (MaterialParams, TsvGeometry, _require_positive_fields, is_finite_real,
+                     require)
 from .rlgc import rlgc_at
+from .sparams import PASSIVITY_LIMIT
 
 BETA_WARN = 0.5          # narrowband approximation degrades above this
 BETA_LIMIT = 2.0         # model invalid
@@ -81,8 +81,8 @@ def substrate_transfer(f, geom: TsvGeometry, mat: MaterialParams,
     whose Z11 = Z_seg + Z_lat + Z_stack cancels ~8 digits at low frequency.
     """
     if substrate_load is not None:
-        _require("substrate_load", substrate_load, "positive, finite or None", lowest=5e-324)
-    if isinstance(f, np.generic):
+        require("substrate_load", substrate_load, "positive, finite or None", lowest=5e-324)
+    if isinstance(f, np.generic) and f.dtype.kind in "fiu":   # others are refused by rlgc_at
         f = float(f)   # a numpy scalar would carry the algebra in slower numpy scalars
     z_seg, z_lat, z_stack = branch_impedances(f, rlgc_at(f, geom, mat))
     z_down = z_stack if substrate_load is None else \
@@ -98,7 +98,7 @@ def substrate_transfer_mna(f, geom: TsvGeometry, mat: MaterialParams,
                            substrate_load: float | None = None):
     """Same transfer by nodal analysis (an (N,) ``f`` as one stack); verification route."""
     if substrate_load is not None:
-        _require("substrate_load", substrate_load, "positive, finite or None", lowest=5e-324)
+        require("substrate_load", substrate_load, "positive, finite or None", lowest=5e-324)
     freqs = frequency_stack(f)
     el = rlgc_at(freqs, geom, mat)
     p1, p2, p3 = PORT_INDEX
@@ -109,27 +109,6 @@ def substrate_transfer_mna(f, geom: TsvGeometry, mat: MaterialParams,
     v = nodal_solve(freqs, nodal_branches(freqs, el, el.r_half) + loads, rhs)[..., 0]
     h = v[:, p2] / v[:, p1]
     return h if np.ndim(f) else complex(h[0])
-
-
-def _require(name, value, rule, lowest=0.0, highest=sys.float_info.max, kinds="fiu"):
-    """Raise a ValidationError unless ``value`` is finite and within [lowest, highest].
-
-    ``value`` is a real number or array (complex if "c" is in ``kinds``: its
-    magnitude is bounded); the error names the first value outside, as a plain number.
-    """
-    magnitude = abs if "c" in kinds else (lambda v: v)
-    if isinstance(value, np.ndarray) and value.dtype.kind in kinds:
-        m = magnitude(value)
-        if not m.size or (lowest <= m.min() and m.max() <= highest):
-            return
-        value = value[~((m >= lowest) & (m <= highest))][0]
-    elif is_finite_real(value) or ("c" in kinds and isinstance(value, complex)
-                                   and cmath.isfinite(value)):
-        if lowest <= magnitude(value) <= highest:
-            return
-    if isinstance(value, np.generic):
-        value = value.item()
-    raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 
 def _bessel_series(x, n: int):
@@ -156,9 +135,9 @@ def bessel_j1(x):
 
 def modulation_index(osc: OscillatorModel, amplitude, f_agg, h):
     """Modulation index of ``amplitude`` V peak-to-peak at ``f_agg`` Hz through transfer ``h``."""
-    _require("amplitude", amplitude, "finite and >= 0")
-    _require("f_agg", f_agg, "finite and positive", lowest=5e-324)
-    _require("h", h, "a finite passive transfer (|h| <= 1)", highest=1.0 + 1e-9, kinds="fiuc")
+    require("amplitude", amplitude, "finite and >= 0")
+    require("f_agg", f_agg, "finite and positive", lowest=5e-324)
+    require("h", h, "a finite passive transfer (|h| <= 1)", highest=PASSIVITY_LIMIT, kinds="fiuc")
     return osc.k_sub * (abs(h) * amplitude / 2.0) / f_agg
 
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import TouchstoneError, ValidationError
 from .numerics import LINE_BREAK, FieldError, format_rows, non_ascii_line, parse_fields
+from .params import require_type
 from .sparams import SSweep
 
 FREQUENCY_UNITS = {"HZ": 1.0, "KHZ": 1e3, "MHZ": 1e6, "GHZ": 1e9}
@@ -92,8 +93,7 @@ def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
     (non-finite values, frequencies not strictly increasing) raises
     :class:`ValidationError` before any byte is written.
     """
-    if not isinstance(sweep, SSweep):
-        raise ValidationError(f"write_s3p needs an SSweep, got {type(sweep).__name__}")
+    require_type("write_s3p", sweep, SSweep, "an SSweep")
     fmt = fmt.upper()
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")

@@ -459,6 +459,18 @@ class TestCommandLineErrors:
         assert code == 2
         assert self.one_error_line(err) and "--mode" in err
 
+    def test_unreadable_config_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.cfg"
+        code, out, err = run(capsys, "validate", "--config", str(missing))
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot read {str(missing)!r}: No such file or directory\n"
+
+    def test_non_finite_probe_frequency(self, tmp_path, capsys):
+        code, out, err = run(capsys, "sweep", "--param", "radius", "--start", "1e-6",
+                             "--stop", "2e-6", "--metric", "s21_db", "--probe-frequency", "nan")
+        assert (code, out) == (2, "")
+        assert err == "error: frequency must be finite and positive, got nan\n"
+
     def test_infinite_height(self, tmp_path, capsys):
         code, _, err = run(capsys, "extract", "--height", "inf",
                            "--out", str(tmp_path / "p.s3p"), "--csv", str(tmp_path / "p.csv"))

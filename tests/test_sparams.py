@@ -11,7 +11,7 @@ import reference_values as ref
 from tsvkit import (ConversionError, DEFAULT_GEOMETRY, DEFAULT_MATERIALS,
                     FrequencyGrid, SSweep, ValidationError)
 from tsvkit import sparams
-from tsvkit.network import ThreePortZ, z_matrix_at, z_matrix_mna, z_sweep
+from tsvkit.network import ThreePortZ, verify_dual_route, z_matrix_at, z_matrix_mna, z_sweep
 from tsvkit.numerics import condition_bound, solve_extended
 from tsvkit.rlgc import rlgc_at
 from tsvkit.sparams import (COND_LIMIT, max_singular_value, modal_s, s_sweep, s_sweep_csv,
@@ -103,6 +103,20 @@ class TestReferenceImpedance:
         zp = ThreePortZ(frequency=1e9, z=50.0 * np.eye(3))
         with pytest.raises(ValidationError, match="^z0 must be"):
             z_to_s(zp, z0=z0)
+
+
+class TestSweepArguments:
+    """A route that takes a sweep refuses anything else with the wording of s_sweep."""
+
+    @pytest.mark.parametrize("route, needs", [
+        (s_to_z, "s_to_z needs an SSweep"),
+        (max_singular_value, "max_singular_value needs an SSweep"),
+        (lambda sweep: verify_dual_route(sweep, GEOM, MAT),
+         "verify_dual_route needs a ZSweep from z_sweep")],
+        ids=["s_to_z", "max_singular_value", "verify_dual_route"])
+    def test_an_array_is_refused(self, route, needs):
+        with pytest.raises(ValidationError, match=f"^{needs}, got ndarray$"):
+            route(np.zeros((2, 3, 3), dtype=complex))
 
 
 class TestRoundTrip:
