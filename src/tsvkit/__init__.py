@@ -8,8 +8,8 @@ from .errors import (CalibrationWarning, ConfigError, ConversionError,
                      GeometryOverlapError, ModelValidityError, NarrowbandWarning,
                      NetworkDegeneracyError, TouchstoneError, TsvKitError,
                      ValidationError)
-from .network import (FrequencyGrid, ThreePortZ, ZSweep, branch_impedances,
-                      verify_dual_route, z_matrix_at, z_matrix_mna, z_sweep, z_sweep_csv)
+from .network import (FrequencyGrid, ZSweep, branch_impedances, verify_dual_route,
+                      z_matrix_at, z_matrix_mna, z_sweep, z_sweep_csv)
 from .params import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, MaterialParams,
                      TsvGeometry, load_config, sigma_from_mobility)
 from .rlgc import (RlgcElements, c_d, c_ox, c_si_g_si, depletion_width, l_tsv,

@@ -42,13 +42,13 @@ def _transfer_disagreement(geom, mat) -> float:
 # sweep v.ss, the largest |S| at each frequency v.scale, and v.geom, v.mat.
 CHECKS = (
     ("dual_route_z", DUAL_ROUTE_TOL, "worst relative disagreement {:.3e}",
-     lambda v: verify_dual_route(v.zs, v.geom, v.mat)),
+     lambda v: verify_dual_route(v.zs)),
     ("reciprocity", RECIPROCITY_TOL, "worst |S - S^T|/|S| = {:.3e}",
      lambda v: np.abs(v.ss.s - v.ss.s.transpose(0, 2, 1)).max(axis=(1, 2)) / v.scale),
     ("passivity", PASSIVITY_LIMIT, "max singular value {:.12f}",
      lambda v: max_singular_value(v.ss)),
     ("z_s_roundtrip", ROUNDTRIP_TOL, "worst relative error {:.3e}",
-     lambda v: (np.abs(s_to_z(v.ss) - v.zs.z) / np.abs(v.zs.z)).max(axis=(1, 2))),
+     lambda v: (np.abs(s_to_z(v.ss).z - v.zs.z) / np.abs(v.zs.z)).max(axis=(1, 2))),
     ("touchstone_roundtrip", TOUCHSTONE_TOL, "worst relative error {:.3e}",
      lambda v: (np.abs(v.ss.s - _through_touchstone(v.ss)).max(axis=(1, 2))
                 / np.maximum(v.scale, 1e-30))),

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -110,8 +111,16 @@ def _write_text(path, text):
         fh.write(text)
 
 
+def _require_writable(*paths):
+    """Raise a ConfigError naming the first of ``paths`` (None skipped) that cannot be written."""
+    for path in filter(None, paths):
+        target = path if os.path.exists(path) else os.path.dirname(path) or "."
+        if os.path.isdir(path) or not os.access(target, os.W_OK):   # False for a missing folder
+            raise ConfigError(f"cannot write {path!r}: no such folder, or not a writable file")
+
+
 def _resolve(args):
-    """Merge defaults, config file and flags into validated domain objects."""
+    """Merge defaults, config file and flags into validated domain objects; check output paths."""
     values = {}
     if args.config:
         values.update(load_config(args.config, known_keys=CONFIG_KEYS))
@@ -131,6 +140,7 @@ def _resolve(args):
     make_grid = FrequencyGrid.linear if spacing == "linear" else FrequencyGrid.logarithmic
     grid = make_grid(_pick(args, values, "f_start", 1e6), _pick(args, values, "f_stop", 100e9),
                      _pick(args, values, "points", 201))
+    _require_writable(*(getattr(args, key, None) for key in ("out", "csv", "z_csv")))
     return geom, mat, grid, values
 
 

@@ -20,15 +20,17 @@ reproduces the expected coupling level (|S21| near -30 dB at 10 GHz) and the
 diverging low-frequency Z12; tapping the substrate through the MOS stack
 instead overstates the coupling by ~12 dB.
 
-Two independent computation routes are provided: closed-form branch algebra
-(`branch_impedances`, over the whole frequency axis by `z_sweep`, and at one
-frequency by `z_matrix_at`) and modified nodal analysis with unit current
-injection (`z_matrix_mna`).  `verify_dual_route` measures how far they
-disagree, which `tsvkit validate` gates (`checks.DUAL_ROUTE_TOL`).  The
-nodal route lists the six elements as branches between five nodes
-(`nodal_branches`); `nodal_solve` factors their stamped matrix elementwise
-over the frequency axis and refines the node voltages from the branch
-currents until each frequency has converged.
+Every route returns a :class:`ZSweep`, the one record of impedance
+matrices: a frequency vector, the (N, 3, 3) matrices and the elements they
+were built from; a single frequency is a sweep of one.  Two independent
+routes build it: closed-form branch algebra (`branch_impedances`, over the
+whole frequency axis by `z_sweep`, and at one frequency by `z_matrix_at`)
+and modified nodal analysis with unit current injection (`z_matrix_mna`).
+`verify_dual_route` measures how far they disagree, which `tsvkit validate`
+gates (`checks.DUAL_ROUTE_TOL`).  The nodal route lists the six elements as
+branches between five nodes (`nodal_branches`); `nodal_solve` factors their
+stamped matrix elementwise over the frequency axis and refines the node
+voltages from the branch currents until each frequency has converged.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import numpy as np
 from .errors import NetworkDegeneracyError, ValidationError
 from .numerics import csv_text
 from .params import (MaterialParams, TsvGeometry, is_finite_real, require, require_frequency,
-                     require_type)
+                     require_sweep, require_type)
 from .rlgc import RlgcElements, rlgc_at
 
 # Element values below this are rejected rather than stamped: they would make
@@ -103,35 +105,23 @@ class FrequencyGrid:
         return cls.logarithmic()
 
 
-@dataclass(frozen=True)
-class ThreePortZ:
-    """Open-circuit impedance matrix at one frequency (3x3 complex, ohms)."""
-
-    frequency: float
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        if z.shape != (3, 3):
-            raise ValidationError(f"z must be 3x3, got shape {z.shape}")
-        object.__setattr__(self, "z", z)
-
-
 @dataclass(frozen=True, eq=False)
 class ZSweep:
-    """Closed-form impedance matrices over a frequency vector.
+    """Impedance matrices over a frequency vector, with the elements they were built from.
 
-    ``z`` has shape (N, 3, 3).  The branch impedances it was built from are
-    kept beside it (each shape (N,)): the modal S conversion works on them
-    directly, because recovering Z_seg as Z11 - Z13 would cancel ~8 digits
-    at the bottom of the grid.
+    ``z`` has shape (N, 3, 3); a single point is a sweep of one.  ``elements`` is None
+    where none made Z (``s_to_z``, or typed in).  Modal S works on their branch
+    impedances, as Z_seg = Z11 - Z13 would cancel ~8 digits at the bottom of the grid.
     """
 
     frequency: np.ndarray
     z: np.ndarray
-    z_seg: np.ndarray
-    z_lat: np.ndarray
-    z_stack: np.ndarray
+    elements: RlgcElements | None = None
+
+    def __post_init__(self):
+        f, z = require_sweep(self.frequency, self.z, "z")
+        object.__setattr__(self, "frequency", f)
+        object.__setattr__(self, "z", z)
 
     def __len__(self) -> int:
         return len(self.frequency)
@@ -177,8 +167,8 @@ def _assemble_z(z_seg, z_lat, z_stack) -> np.ndarray:
     return z if z.ndim == 2 else np.ascontiguousarray(np.moveaxis(z, -1, 0))
 
 
-def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
-    """Closed-form impedance matrix from branch algebra (see :func:`branch_impedances`)."""
+def z_matrix_at(f: float, elements: RlgcElements) -> ZSweep:
+    """Closed-form impedance matrix, a sweep of one (see :func:`branch_impedances`)."""
     require_frequency(f)
     if isinstance(elements.r_half, np.ndarray):
         raise ValidationError("z_matrix_at needs one-frequency elements; use z_matrix_mna")
@@ -188,21 +178,21 @@ def z_matrix_at(f: float, elements: RlgcElements) -> ThreePortZ:
         raise NetworkDegeneracyError("zero branch admittance", frequency=f) from None
     if not np.isfinite(z).all():
         raise NetworkDegeneracyError("non-finite impedance entries", frequency=f)
-    return ThreePortZ(frequency=f, z=z)
+    return ZSweep(np.array([f], dtype=float), z[None], elements)
 
 
-def nodal_branches(f, elements: RlgcElements, r_half) -> list:
+def nodal_branches(f, elements: RlgcElements) -> list:
     """The elements of the fixed network as branches ``(node a, node b, admittance)``.
 
     Nodes: port1, mid, port3, port2 and the internal node of the C_ox -- C_d
     stack; ``b = None`` is the reference.  Admittances are scalars, or (N,)
-    arrays over an (N,) vector ``f``; ``r_half`` is a scalar or an (N,) array.
+    arrays over an (N,) vector ``f``; ``elements.r_half`` is a scalar or an (N,) array.
     """
-    for name, value in {**vars(elements), "r_half": r_half}.items():
+    for name, value in vars(elements).items():
         require(name, value, "at least {lowest} (a smaller element would make the "
                 "network singular)", lowest=MIN_ELEMENT)
     s = 2j * math.pi * np.asarray(f, dtype=float)
-    y_seg = 1.0 / (r_half + s * elements.l_half)
+    y_seg = 1.0 / (elements.r_half + s * elements.l_half)
     return [(0, 1, y_seg), (1, 2, y_seg), (1, 3, elements.g_si), (1, 3, s * elements.c_si),
             (3, 4, s * elements.c_ox), (4, None, s * elements.c_d)]
 
@@ -292,47 +282,43 @@ def frequency_stack(f) -> np.ndarray:
     return np.asarray(f, dtype=float).reshape(-1)
 
 
-def z_matrix_mna(f, elements: RlgcElements):
-    """Impedance matrix by modified nodal analysis.
+def z_matrix_mna(f, elements: RlgcElements) -> ZSweep:
+    """Impedance matrices by modified nodal analysis, over ``f`` in one stacked solve.
 
     Each column is obtained by injecting 1 A into one port and reading the
-    open-circuit node voltages.  ``f`` is one frequency, giving a
-    :class:`ThreePortZ`, or an (N,) vector, giving an (N, 3, 3) array from
-    one stacked solve; one frequency is solved as a one-point stack, so it
-    gets the bits of that stack member.  The half-segment resistance
-    ``elements.r_half`` is a scalar or an (N,) array at ``f``.
+    open-circuit node voltages.  ``f`` is one frequency, giving a sweep of one, or
+    an (N,) vector; ``elements.r_half`` is a scalar or an (N,) array at ``f``.
     """
     freqs = frequency_stack(f)
     r_half = elements.r_half
     if np.ndim(r_half) and np.shape(r_half) != np.shape(f):
         raise ValidationError(f"elements hold {np.size(r_half)} frequencies, f {freqs.size}")
     rhs = np.eye(NODES)[:, PORT_INDEX]   # 1 A into each port
-    z = nodal_solve(freqs, nodal_branches(freqs, elements, r_half), rhs)[:, PORT_INDEX]
-    return z if np.ndim(f) else ThreePortZ(frequency=f, z=z[0])
+    z = nodal_solve(freqs, nodal_branches(freqs, elements), rhs)[:, PORT_INDEX]
+    return ZSweep(freqs, z, elements)
 
 
 def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> ZSweep:
     """Closed-form impedance matrices over the grid, computed as arrays over f."""
     f = grid.points
+    elements = rlgc_at(f, geom, mat)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        branches = branch_impedances(f, rlgc_at(f, geom, mat))
-        z = _assemble_z(*branches)
+        z = _assemble_z(*branch_impedances(f, elements))
     bad = np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))
     if bad.size:
         raise NetworkDegeneracyError(
             f"sweep failed at {f[bad[0]]:.6g} Hz: non-finite impedance entries",
             frequency=float(f[bad[0]]))
-    return ZSweep(f, z, *branches)
+    return ZSweep(f, z, elements)
 
 
-def verify_dual_route(sweep: ZSweep, geom: TsvGeometry, mat: MaterialParams) -> np.ndarray:
-    """Worst relative disagreement of ``sweep`` and :func:`z_matrix_mna` at each frequency, (N,).
+def verify_dual_route(sweep: ZSweep) -> np.ndarray:
+    """Worst relative disagreement of ``sweep`` and :func:`z_matrix_mna` of its elements.
 
-    ``sweep`` is the ZSweep of ``z_sweep(..., geom, mat)``; NaN or inf where not finite.
-    """
+    One value per frequency, NaN or inf where not finite."""
     require_type("verify_dual_route", sweep, ZSweep, "a ZSweep from z_sweep")
-    f = sweep.frequency
-    mna = z_matrix_mna(f, rlgc_at(f, geom, mat))
+    require_type("verify_dual_route", sweep.elements, RlgcElements, "elements in the sweep")
+    mna = z_matrix_mna(sweep.frequency, sweep.elements).z
     return (np.abs(sweep.z - mna) / np.abs(sweep.z)).max(axis=(1, 2))
 
 

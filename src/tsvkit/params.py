@@ -72,6 +72,16 @@ def require_type(caller, value, kind, what) -> None:
         raise ValidationError(f"{caller} needs {what}, got {type(value).__name__}")
 
 
+def require_sweep(frequency, matrices, name: str):
+    """``frequency`` as (N,) floats and ``matrices``, named ``name``, as (N, 3, 3) complex."""
+    f, m = np.asarray(frequency, dtype=float), np.asarray(matrices, dtype=complex)
+    if f.ndim != 1 or not f.size:
+        raise ValidationError("a sweep needs a nonempty 1-D frequency vector")
+    if m.shape != f.shape + (3, 3):
+        raise ValidationError(f"{name} must have shape {f.shape + (3, 3)}, got {m.shape}")
+    return f, m
+
+
 def _require_positive_fields(obj) -> None:
     """Every field must be a finite, strictly positive real number (not a bool)."""
     for name, value in vars(obj).items():

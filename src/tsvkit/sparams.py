@@ -4,18 +4,18 @@ The conversions use the equal-real-reference form S = (Z - Z0 I)(Z + Z0 I)^-1
 and its algebraic inverse Z = Z0 (I + S)(I - S)^-1, computed with LAPACK
 linear solves in complex128 (never an explicit inverse), unrefined: S and
 Z are already rounded, and their rounding amplified by the condition
-number bounds what a solve can recover.  Both work on (N, 3, 3) stacks,
-one solve per stack: `s_to_z` inverts a whole :class:`SSweep`, and
-`z_to_s` converts one impedance matrix as a one-point sweep.
+number bounds what a solve can recover.  Both convert a whole sweep, an
+(N, 3, 3) stack, in one solve: `z_to_s` a :class:`~tsvkit.network.ZSweep`,
+`s_to_z` an :class:`SSweep` back into a ZSweep; a single point is a sweep of one.
 A conversion is refused where the matrix it inverts has a 2-norm condition
 number above COND_LIMIT.  A stack of several members is cleared by the
 adjugate bound (`numerics.condition_bound`) and takes an SVD only for the
 members the bound cannot clear; a one-member stack takes the SVD directly.
 A refusal names the first frequency over the limit with its SVD condition
 number either way.
-Sweeps convert in closed form from the branch impedances by even/odd-mode
-analysis (`modal_s`); the solve route is the exact reference it is
-checked against.
+`s_sweep` converts a sweep in closed form, by even/odd-mode analysis
+(`modal_s`) of the branch impedances of its elements; the solve route is the
+exact reference it is checked against.
 """
 
 from __future__ import annotations
@@ -24,10 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionError, NetworkDegeneracyError, ValidationError
-from .network import ThreePortZ, ZSweep
+from .errors import ConversionError, NetworkDegeneracyError
+from .network import ZSweep, branch_impedances
 from .numerics import condition_bound, condition_number, csv_text, solve_extended
-from .params import require, require_type
+from .params import require, require_sweep, require_type
+from .rlgc import RlgcElements
 
 COND_LIMIT = 1e12
 PASSIVITY_LIMIT = 1.0 + 1e-9   # largest singular value of a passive S (so |h| of a transfer)
@@ -49,12 +50,7 @@ class SSweep:
     z0: float = 50.0
 
     def __post_init__(self):
-        f = np.asarray(self.frequency, dtype=float)
-        s = np.asarray(self.s, dtype=complex)
-        if f.ndim != 1 or not f.size:
-            raise ValidationError("a sweep needs a nonempty 1-D frequency vector")
-        if s.shape != f.shape + (3, 3):
-            raise ValidationError(f"s must have shape {f.shape + (3, 3)}, got {s.shape}")
+        f, s = require_sweep(self.frequency, self.s, "s")
         _check_z0(self.z0)
         object.__setattr__(self, "frequency", f)
         object.__setattr__(self, "s", s)
@@ -86,38 +82,33 @@ def _guarded_solve(a: np.ndarray, b: np.ndarray, frequency: np.ndarray, name: st
         over = np.flatnonzero(~(cond <= COND_LIMIT))
         if over.size:
             k = over[0]
-            raise _ill_conditioned(name, frequency[suspect[k]], cond[k], note)
+            raise ConversionError(f"{name} is singular or ill-conditioned at "
+                                  f"{frequency[suspect[k]]:.6g} Hz (condition number "
+                                  f"{cond[k]:.3e}){note}", condition_number=float(cond[k]))
     try:
         return solve_extended(a.swapaxes(1, 2), b.swapaxes(1, 2)).swapaxes(1, 2)
     except NetworkDegeneracyError as err:
         k = err.index
-        raise _singular(name, frequency[k], condition_number(a[k:k + 1])[0]) from err
+        raise ConversionError(f"{name} singular at {frequency[k]:.6g} Hz", condition_number=float(
+            condition_number(a[k:k + 1])[0])) from err
 
 
-def _ill_conditioned(name, frequency, cond, note) -> ConversionError:
-    return ConversionError(f"{name} is singular or ill-conditioned at {frequency:.6g} Hz "
-                           f"(condition number {cond:.3e}){note}", condition_number=float(cond))
-
-
-def _singular(name, frequency, cond) -> ConversionError:
-    return ConversionError(f"{name} singular at {frequency:.6g} Hz", condition_number=float(cond))
-
-
-def z_to_s(zp: ThreePortZ, z0: float = 50.0) -> SSweep:
-    """S = (Z - z0 I)(Z + z0 I)^-1 of one impedance matrix, as a one-point :class:`SSweep`."""
+def z_to_s(zs: ZSweep, z0: float = 50.0) -> SSweep:
+    """S = (Z - z0 I)(Z + z0 I)^-1 of each impedance matrix of a sweep."""
+    require_type("z_to_s", zs, ZSweep, "a ZSweep")
     _check_z0(z0)
-    z, shift = zp.z[None], z0 * np.eye(3)
-    f = np.array([zp.frequency], dtype=float)
+    z, f, shift = zs.z, zs.frequency, z0 * np.eye(3)
     return SSweep(f, _guarded_solve(z + shift, z - shift, f, "(Z + z0 I)"), z0)
 
 
-def s_to_z(sp: SSweep) -> np.ndarray:
-    """Invert the scattering conversion of a sweep: Z = z0 (I + S)(I - S)^-1, (N, 3, 3)."""
+def s_to_z(sp: SSweep) -> ZSweep:
+    """Invert the scattering conversion of a sweep: Z = z0 (I + S)(I - S)^-1, with no elements."""
     require_type("s_to_z", sp, SSweep, "an SSweep")
     eye = np.eye(3)
     with np.errstate(invalid="ignore"):   # inf * 0 of an inf entry: the guard refuses it
         b = sp.z0 * (eye + sp.s)
-    return _guarded_solve(eye - sp.s, b, sp.frequency, "(I - S)", "; S has a near-unit eigenvalue")
+    return ZSweep(sp.frequency, _guarded_solve(eye - sp.s, b, sp.frequency, "(I - S)",
+                                               "; S has a near-unit eigenvalue"))
 
 
 def modal_s(frequency, z_seg, z_lat, z_stack, z0: float = 50.0) -> np.ndarray:
@@ -164,10 +155,13 @@ def modal_s(frequency, z_seg, z_lat, z_stack, z0: float = 50.0) -> np.ndarray:
 
 
 def s_sweep(zs: ZSweep, z0: float = 50.0) -> SSweep:
-    """S over a closed-form impedance sweep, by :func:`modal_s`."""
+    """S of an impedance sweep, by :func:`modal_s` of the branch impedances of its elements."""
     require_type("s_sweep", zs, ZSweep, "a ZSweep from z_sweep")
+    require_type("s_sweep", zs.elements, RlgcElements, "elements in the sweep")
     _check_z0(z0)   # before modal_s, which would blame a bad z0 on the network
-    return SSweep(zs.frequency, modal_s(zs.frequency, zs.z_seg, zs.z_lat, zs.z_stack, z0), z0)
+    with np.errstate(all="ignore"):   # as in z_sweep, where an overflow left Z finite
+        branches = branch_impedances(zs.frequency, zs.elements)
+    return SSweep(zs.frequency, modal_s(zs.frequency, *branches, z0), z0)
 
 
 def max_singular_value(sp: SSweep) -> np.ndarray:
@@ -189,8 +183,7 @@ def max_singular_value(sp: SSweep) -> np.ndarray:
     t.real = np.ldexp(np.where(finite[..., None, None], s.real, 0.0), scale)
     t.imag = np.ldexp(np.where(finite[..., None, None], s.imag, 0.0), scale)
     top = np.linalg.eigvalsh(t.conj().swapaxes(-1, -2) @ t)[..., -1]
-    sigma = np.where(finite, np.ldexp(np.sqrt(top), e), np.nan)
-    return sigma
+    return np.where(finite, np.ldexp(np.sqrt(top), e), np.nan)
 
 
 S_CSV_HEADER = "frequency_hz,s21_db,s31_db"

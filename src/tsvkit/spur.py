@@ -106,7 +106,7 @@ def substrate_transfer_mna(f, geom: TsvGeometry, mat: MaterialParams,
     if substrate_load is not None:
         loads.append((p2, None, 1.0 / substrate_load))
     rhs = np.eye(NODES)[:, [p1]]   # 1 A into port 1
-    v = nodal_solve(freqs, nodal_branches(freqs, el, el.r_half) + loads, rhs)[..., 0]
+    v = nodal_solve(freqs, nodal_branches(freqs, el) + loads, rhs)[..., 0]
     h = v[:, p2] / v[:, p1]
     return h if np.ndim(f) else complex(h[0])
 

@@ -75,7 +75,7 @@ def test_criterion_2_coupling_curve_shape():
 
 
 def test_criterion_3_dual_route_agreement():
-    worst = verify_dual_route(z_sweep(GRID, GEOM, MAT), GEOM, MAT).max()
+    worst = verify_dual_route(z_sweep(GRID, GEOM, MAT)).max()
     report(3, worst <= DUAL_ROUTE_TOL,
            f"branch algebra vs nodal analysis, worst relative "
            f"disagreement {worst:.3e} over {len(GRID.points)} points (tolerance 1e-9)")
@@ -87,7 +87,7 @@ def test_criterion_4_s_matrix_properties():
     worst_sym = float((np.abs(s - s.swapaxes(1, 2)).max(axis=(1, 2))
                        / np.abs(s).max(axis=(1, 2))).max())
     worst_sigma = float(max_singular_value(ss).max())
-    worst_rt = float((np.abs(s_to_z(ss) - zs.z) / np.abs(zs.z)).max())
+    worst_rt = float((np.abs(s_to_z(ss).z - zs.z) / np.abs(zs.z)).max())
     ok = worst_sym <= 1e-9 and worst_sigma <= 1 + 1e-9 and worst_rt <= 1e-9
     report(4, ok, f"reciprocity {worst_sym:.3e} (<=1e-9), max singular value "
                   f"{worst_sigma:.12f} (<=1+1e-9), Z<->S round-trip {worst_rt:.3e} (<=1e-9)")

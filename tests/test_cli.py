@@ -374,8 +374,8 @@ class TestValidate:
     def test_dual_route_disagreement_is_a_fail_line(self, error, monkeypatch, capsys):
         import tsvkit.network
         exact = tsvkit.network.z_matrix_mna
-        monkeypatch.setattr(tsvkit.network, "z_matrix_mna",
-                            lambda *a, **k: exact(*a, **k) * (1.0 + error))
+        monkeypatch.setattr(tsvkit.network, "z_matrix_mna", lambda *a, **k: replace(
+            zs := exact(*a, **k), z=zs.z * (1.0 + error)))
         code, out, err = run(capsys, "validate", "--points", "21")
         assert code == 1 and err == ""
         assert out.splitlines()[0] == \
@@ -439,6 +439,32 @@ class TestCommandLineErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
         assert self.one_error_line(err) and f"need at most {MAX_POINTS} " in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv", "--z-csv"])
+    @pytest.mark.parametrize("kind", ["missing directory", "directory"])
+    def test_extract_refuses_an_output_it_cannot_write_before_writing_any(
+            self, flag, kind, tmp_path, capsys):
+        bad = tmp_path / ("missing/p.txt" if kind == "missing directory" else "taken")
+        if kind == "directory":
+            bad.mkdir()
+        paths = {"--out": tmp_path / "p.s3p", "--csv": tmp_path / "p.csv",
+                 "--z-csv": tmp_path / "z.csv", flag: bad}
+        code, out, err = run(capsys, "extract", "--points", "3",
+                             *(str(x) for item in paths.items() for x in item))
+        assert code == 2 and out == ""
+        assert self.one_error_line(err) and err.startswith(f"error: cannot write {str(bad)!r}")
+        assert [p.name for p in tmp_path.iterdir()] == ([] if bad.parent.name == "missing"
+                                                        else ["taken"])
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep", "--param", "radius", "--start", "1e-6", "--stop", "2e-6", "--metric", "c_ox"],
+        ["spur", "--mode", "amplitude"]], ids=["sweep", "spur"])
+    def test_an_output_in_a_missing_directory_is_refused(self, argv, tmp_path, capsys):
+        bad = str(tmp_path / "missing" / "r.csv")
+        code, out, err = run(capsys, *argv, "--out", bad)
+        assert (code, out) == (2, "")
+        assert err == f"error: cannot write {bad!r}: no such folder, or not a writable file\n"
         assert list(tmp_path.iterdir()) == []
 
     def test_bad_int(self, capsys):

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 import tsvkit.network
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
-                    NetworkDegeneracyError, ValidationError, branch_impedances, modal_s,
-                    substrate_transfer, substrate_transfer_mna)
+                    NetworkDegeneracyError, ValidationError, ZSweep, branch_impedances, modal_s,
+                    substrate_transfer, substrate_transfer_mna, z_to_s)
 from tsvkit.checks import DUAL_ROUTE_TOL
 from tsvkit.network import (MIN_ELEMENT, NODES, PORT_INDEX, Z_CSV_HEADER, nodal_branches,
                             verify_dual_route, z_matrix_at, z_matrix_mna, z_sweep, z_sweep_csv)
@@ -67,12 +67,12 @@ class TestTopology:
         # enormous lateral admittance shorts the substrate node to the midpoint:
         # Z12 approaches Z13
         el = elements_with(c_si=1.0, g_si=1e6)
-        z = z_matrix_at(1e9, el).z
+        z = z_matrix_at(1e9, el).z[0]
         assert abs(z[0, 1] - z[0, 2]) / abs(z[0, 2]) < 1e-6
 
     def test_huge_stack_caps_short_substrate_to_ground(self):
         el = elements_with(c_ox=1.0, c_d=1.0)
-        z = z_matrix_at(1e9, el).z
+        z = z_matrix_at(1e9, el).z[0]
         assert abs(z[1, 1]) < 1e-6
 
     def test_degenerate_elements_rejected(self):
@@ -88,34 +88,34 @@ class TestClosedForm:
         # tolerance is scaled to the entry magnitude, not the difference.
         for f in (1e6, 1e9, 50e9):
             el = rlgc_at(f, GEOM, MAT)
-            z = z_matrix_at(f, el).z
+            z = z_matrix_at(f, el).z[0]
             expected = el.r_half + 2j * np.pi * f * el.l_half
             assert z[0, 0] - z[0, 2] == pytest.approx(
                 expected, rel=1e-9, abs=1e-12 * abs(z[0, 0]))
 
     def test_substrate_column_is_stack_impedance(self):
         el = EL_1GHZ
-        z = z_matrix_at(1e9, el).z
+        z = z_matrix_at(1e9, el).z[0]
         s = 2j * np.pi * 1e9
         stack = 1 / (s * el.c_ox) + 1 / (s * el.c_d)
         for i in range(3):
             assert z[i, 1] == pytest.approx(stack, rel=1e-12)
 
     def test_low_frequency_substrate_impedance_diverges(self):
-        z1 = z_matrix_at(1.0, rlgc_at(1.0, GEOM, MAT)).z
-        z1m = z_matrix_at(1e6, rlgc_at(1e6, GEOM, MAT)).z
+        z1 = z_matrix_at(1.0, rlgc_at(1.0, GEOM, MAT)).z[0]
+        z1m = z_matrix_at(1e6, rlgc_at(1e6, GEOM, MAT)).z[0]
         assert abs(z1[0, 1]) > 1e12
         assert abs(z1[0, 1]) > 1e5 * abs(z1m[0, 1])
 
     def test_z12_magnitude_decreases_above_1ghz(self):
         freqs = np.logspace(9, 11, 41)
-        mags = [abs(z_matrix_at(f, rlgc_at(f, GEOM, MAT)).z[0, 1]) for f in freqs]
+        mags = [abs(z_matrix_at(f, rlgc_at(f, GEOM, MAT)).z[0, 0, 1]) for f in freqs]
         assert all(b < a for a, b in zip(mags, mags[1:]))
 
     def test_symmetry_machine_precision(self):
         rng = np.random.default_rng(7)
         for f in 10 ** rng.uniform(6, 11, size=50):
-            z = z_matrix_at(f, rlgc_at(f, GEOM, MAT)).z
+            z = z_matrix_at(f, rlgc_at(f, GEOM, MAT)).z[0]
             assert np.array_equal(z, z.T)
 
     def test_rejects_bad_frequency(self):
@@ -133,25 +133,25 @@ class TestDualRoute:
         # ~1e14 at 1 Hz, where the refined double solve still carries ~6
         # digits; the strict 1e-9 gate applies on the default grid
         el = rlgc_at(1.0, GEOM, MAT)
-        za = z_matrix_at(1.0, el).z
-        zb = z_matrix_mna(1.0, el).z
+        za = z_matrix_at(1.0, el).z[0]
+        zb = z_matrix_mna(1.0, el).z[0]
         assert np.abs((za - zb) / za).max() < 1e-4
         assert abs(zb[0, 1]) > 1e12
 
     def test_full_grid_agreement(self):
         sweep = z_sweep(FrequencyGrid.default(), GEOM, MAT)
-        assert verify_dual_route(sweep, GEOM, MAT).max() <= DUAL_ROUTE_TOL
+        assert verify_dual_route(sweep).max() <= DUAL_ROUTE_TOL
 
     def test_mna_symmetric(self):
-        z = z_matrix_mna(1e9, EL_1GHZ).z
+        z = z_matrix_mna(1e9, EL_1GHZ).z[0]
         assert np.abs(z - z.T).max() <= 1e-12 * np.abs(z).max()
 
     @settings(max_examples=25, deadline=None)
     @given(f=st.floats(min_value=1e6, max_value=100e9))
     def test_pointwise_agreement_random_frequencies(self, f):
         el = rlgc_at(f, GEOM, MAT)
-        za = z_matrix_at(f, el).z
-        zb = z_matrix_mna(f, el).z
+        za = z_matrix_at(f, el).z[0]
+        zb = z_matrix_mna(f, el).z[0]
         assert np.abs((za - zb) / za).max() < 1e-9
 
 
@@ -238,10 +238,10 @@ class TestExactOracle:
         geom, mat = ORACLE_DESIGNS[design]
         rhs = np.zeros((NODES, 3))
         rhs[PORT_INDEX, range(3)] = 1.0
-        z = z_matrix_mna(ORACLE_FREQUENCIES, rlgc_at(ORACLE_FREQUENCIES, geom, mat))
+        z = z_matrix_mna(ORACLE_FREQUENCIES, rlgc_at(ORACLE_FREQUENCIES, geom, mat)).z
         for k, f in enumerate(ORACLE_FREQUENCIES):
             el = rlgc_at(f, geom, mat)
-            exact = exact_node_voltages(nodal_branches(f, el, el.r_half), rhs)[PORT_INDEX]
+            exact = exact_node_voltages(nodal_branches(f, el), rhs)[PORT_INDEX]
             assert np.abs((z[k] - exact) / exact).max() <= 1e-12
 
     @pytest.mark.parametrize("design", range(len(ORACLE_DESIGNS)))
@@ -254,7 +254,7 @@ class TestExactOracle:
                                    substrate_load=REPLICA_SUBSTRATE_LOAD)
         for k, f in enumerate(ORACLE_FREQUENCIES):
             el = rlgc_at(f, geom, mat)
-            branches = nodal_branches(f, el, el.r_half) + [
+            branches = nodal_branches(f, el) + [
                 (p3, None, 1.0 / 50.0 + 0j), (p2, None, 1.0 / REPLICA_SUBSTRATE_LOAD + 0j)]
             v = exact_node_voltages(branches, rhs)[:, 0]
             exact = v[p2] / v[p1]
@@ -266,19 +266,19 @@ class TestStackedMna:
 
     def test_matches_single_points_exactly(self):
         f = FrequencyGrid.logarithmic(1e6, 100e9, 2001).points
-        z = z_matrix_mna(f, rlgc_at(f, GEOM, MAT))
+        z = z_matrix_mna(f, rlgc_at(f, GEOM, MAT)).z
         assert z.shape == (2001, 3, 3)
         rng = np.random.default_rng(11)
         for k in rng.choice(2001, 10, replace=False):
             lone = z_matrix_mna(f[k], rlgc_at(f[k], GEOM, MAT))
             assert lone.frequency == f[k]
-            assert z[k].tobytes() == lone.z.tobytes()
+            assert z[k].tobytes() == lone.z[0].tobytes()
 
     def test_scalar_resistance_is_shared(self):
         f = np.array([1e8, 1e9, 1e10])
-        z = z_matrix_mna(f, EL_1GHZ)
+        z = z_matrix_mna(f, EL_1GHZ).z
         for k in range(3):
-            assert z[k].tobytes() == z_matrix_mna(float(f[k]), EL_1GHZ).z.tobytes()
+            assert z[k].tobytes() == z_matrix_mna(float(f[k]), EL_1GHZ).z[0].tobytes()
 
     def test_member_refined_past_the_stack_steps_gets_its_bits_alone(self, monkeypatch):
         # below 1 MHz some members take more than REFINE_STEPS steps; those
@@ -288,11 +288,11 @@ class TestStackedMna:
         factor = tsvkit.network._factor
         monkeypatch.setattr(tsvkit.network, "_factor", lambda branches, n:
                             stacks.append(branches[0][2]) or factor(branches, n))
-        z = z_matrix_mna(f, rlgc_at(f, GEOM, MAT))
+        z = z_matrix_mna(f, rlgc_at(f, GEOM, MAT)).z
         late = np.flatnonzero(np.isin(stacks[0], stacks[-1]))   # the members refined longest
         assert 0 < late.size < f.size / 2
         for k in late[::max(1, late.size // 10)]:
-            assert z[k].tobytes() == z_matrix_mna(f[k], rlgc_at(f[k], GEOM, MAT)).z.tobytes()
+            assert z[k].tobytes() == z_matrix_mna(f[k], rlgc_at(f[k], GEOM, MAT)).z[0].tobytes()
 
     def test_a_member_still_open_at_the_cap_is_named(self, monkeypatch):
         monkeypatch.setattr(tsvkit.network, "MAX_REFINE_STEPS", tsvkit.network.REFINE_STEPS)
@@ -331,6 +331,33 @@ class TestStackedMna:
                 z_matrix_mna(f, el)
 
 
+class TestRecord:
+    """ZSweep, the one record of impedance matrices, checks its shapes as SSweep does."""
+
+    @pytest.mark.parametrize("f, z, named", [
+        ([1e9], np.eye(3), r"^z must have shape \(1, 3, 3\), got \(3, 3\)$"),
+        ([1e9], np.ones((1, 2, 2)), r"^z must have shape \(1, 3, 3\), got \(1, 2, 2\)$"),
+        ([1e8, 1e9, 1e10], np.ones((2, 3, 3)), r"^z must have shape \(3, 3, 3\), got \(2, 3, 3\)$"),
+        (1e9, np.ones((1, 3, 3)), "^a sweep needs a nonempty 1-D frequency vector$"),
+        ([], np.ones((0, 3, 3)), "^a sweep needs a nonempty 1-D frequency vector$")],
+        ids=["3x3", "2x2", "other N", "scalar f", "empty"])
+    def test_a_bad_shape_is_refused(self, f, z, named):
+        with pytest.raises(ValidationError, match=named):
+            ZSweep(f, z)
+
+    def test_elements_default_to_none_and_a_route_refuses_any_other_kind(self):
+        assert ZSweep([1e9], np.ones((1, 3, 3))).elements is None
+        with pytest.raises(ValidationError, match="^verify_dual_route needs elements in the "
+                                                  "sweep, got dict$"):
+            verify_dual_route(ZSweep([1e9], np.ones((1, 3, 3)), vars(EL_1GHZ)))
+
+    @pytest.mark.parametrize("route", [z_matrix_at, z_matrix_mna])
+    def test_every_route_returns_a_sweep_holding_its_elements(self, route):
+        sweep = route(1e9, EL_1GHZ)
+        assert isinstance(sweep, ZSweep) and sweep.elements is EL_1GHZ
+        assert sweep.frequency.tolist() == [1e9] and sweep.z.shape == (1, 3, 3)
+
+
 class TestPassivityPrecursor:
     def test_hermitian_part_nonnegative(self):
         z = z_sweep(FrequencyGrid.default(), GEOM, MAT).z
@@ -350,21 +377,23 @@ class TestSweep:
         sweep = z_sweep(grid, GEOM, MAT)
         for f, z in zip(sweep.frequency.tolist(), sweep.z):
             standalone = z_matrix_at(f, rlgc_at(f, GEOM, MAT))
-            assert np.array_equal(z, standalone.z)
+            assert np.array_equal(z, standalone.z[0])
 
     @pytest.mark.parametrize("route", ["z_sweep", "modal_s", "substrate_transfer",
-                                       "z_matrix_mna"])
+                                       "z_matrix_mna", "z_to_s"])
     def test_members_of_a_large_stack_get_their_bits_alone(self, route):
         # numpy reuses a temporary of 16,384 or more values for a product and
         # may swap its operands: a member must still get the bits it gets alone
         f = FrequencyGrid.logarithmic(1e6, 100e9, 20001).points
         branches = branch_impedances(f, rlgc_at(f, GEOM, MAT))
+        z = z_sweep(FrequencyGrid(f), GEOM, MAT).z
         evaluate = {
             "z_sweep": lambda part: z_sweep(FrequencyGrid(f[part]), GEOM, MAT).z,
             "modal_s": lambda part: modal_s(f[part], *(b[part] for b in branches)),
             "substrate_transfer": lambda part: substrate_transfer(
                 f[part], GEOM, MAT, REPLICA_SUBSTRATE_LOAD),
-            "z_matrix_mna": lambda part: z_matrix_mna(f[part], rlgc_at(f[part], GEOM, MAT)),
+            "z_matrix_mna": lambda part: z_matrix_mna(f[part], rlgc_at(f[part], GEOM, MAT)).z,
+            "z_to_s": lambda part: z_to_s(ZSweep(f[part], z[part])).s,
         }[route]
         whole = evaluate(slice(None))
         count = 200 if route == "z_matrix_mna" else 1000

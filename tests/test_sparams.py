@@ -11,7 +11,7 @@ import reference_values as ref
 from tsvkit import (ConversionError, DEFAULT_GEOMETRY, DEFAULT_MATERIALS,
                     FrequencyGrid, SSweep, ValidationError)
 from tsvkit import sparams
-from tsvkit.network import ThreePortZ, verify_dual_route, z_matrix_at, z_matrix_mna, z_sweep
+from tsvkit.network import ZSweep, verify_dual_route, z_matrix_at, z_matrix_mna, z_sweep
 from tsvkit.numerics import condition_bound, solve_extended
 from tsvkit.rlgc import rlgc_at
 from tsvkit.sparams import (COND_LIMIT, max_singular_value, modal_s, s_sweep, s_sweep_csv,
@@ -46,22 +46,22 @@ def random_passive_symmetric(rng):
 
 class TestConversionBasics:
     def test_matched_termination_gives_zero(self):
-        zp = ThreePortZ(frequency=1e9, z=50.0 * np.eye(3))
+        zp = ZSweep([1e9], [50.0 * np.eye(3)])
         s = z_to_s(zp).s
         assert np.abs(s).max() < 1e-15
 
     def test_short_gives_minus_identity(self):
-        zp = ThreePortZ(frequency=1e9, z=np.zeros((3, 3)))
+        zp = ZSweep([1e9], [np.zeros((3, 3))])
         s = z_to_s(zp).s
         assert np.abs(s + np.eye(3)).max() < 1e-15
 
     def test_zero_s_gives_z0_identity(self):
-        z = s_to_z(point(np.zeros((3, 3))))
+        z = s_to_z(point(np.zeros((3, 3)))).z
         assert z.shape == (1, 3, 3)
         assert np.abs(z - 50.0 * np.eye(3)).max() < 1e-12
 
     def test_minus_identity_gives_short(self):
-        assert np.abs(s_to_z(point(-np.eye(3)))).max() < 1e-12
+        assert np.abs(s_to_z(point(-np.eye(3))).z).max() < 1e-12
 
     def test_frequency_carried_through(self):
         sp = model_s(3.3e9)
@@ -75,13 +75,13 @@ class TestConversionBasics:
     @pytest.mark.parametrize("z", [50.0 * np.eye(3), np.zeros((3, 3)), "model"])
     def test_same_bits_as_one_lapack_solve(self, z):
         zp = z_matrix_at(2.5e9, rlgc_at(2.5e9, GEOM, MAT)) if isinstance(z, str) else \
-            ThreePortZ(frequency=2.5e9, z=z)
+            ZSweep([2.5e9], [z])
         eye = np.eye(3)
-        expected = np.linalg.solve((zp.z + 50.0 * eye).T, (zp.z - 50.0 * eye).T).T
+        expected = np.linalg.solve((zp.z[0] + 50.0 * eye).T, (zp.z[0] - 50.0 * eye).T).T
         assert z_to_s(zp).s[0].tobytes() == expected.tobytes()
 
     def test_singular_sum_rejected(self):
-        zp = ThreePortZ(frequency=1e9, z=-50.0 * np.eye(3))
+        zp = ZSweep([1e9], [-50.0 * np.eye(3)])
         with pytest.raises(ConversionError) as err:
             z_to_s(zp)
         assert err.value.condition_number is None or err.value.condition_number > 1e12
@@ -100,7 +100,7 @@ class TestReferenceImpedance:
                              ids=["str", "array", "bool", "negative", "nan"])
     def test_z_to_s_refuses_before_solving(self, z0):
         # Z = 50 I makes Z + z0 I singular at z0 = -50: a solve would refuse that
-        zp = ThreePortZ(frequency=1e9, z=50.0 * np.eye(3))
+        zp = ZSweep([1e9], [50.0 * np.eye(3)])
         with pytest.raises(ValidationError, match="^z0 must be"):
             z_to_s(zp, z0=z0)
 
@@ -111,26 +111,36 @@ class TestSweepArguments:
     @pytest.mark.parametrize("route, needs", [
         (s_to_z, "s_to_z needs an SSweep"),
         (max_singular_value, "max_singular_value needs an SSweep"),
-        (lambda sweep: verify_dual_route(sweep, GEOM, MAT),
-         "verify_dual_route needs a ZSweep from z_sweep")],
-        ids=["s_to_z", "max_singular_value", "verify_dual_route"])
+        (verify_dual_route, "verify_dual_route needs a ZSweep from z_sweep"),
+        (z_to_s, "z_to_s needs a ZSweep"),
+        (s_sweep, "s_sweep needs a ZSweep from z_sweep")],
+        ids=["s_to_z", "max_singular_value", "verify_dual_route", "z_to_s", "s_sweep"])
     def test_an_array_is_refused(self, route, needs):
         with pytest.raises(ValidationError, match=f"^{needs}, got ndarray$"):
             route(np.zeros((2, 3, 3), dtype=complex))
+
+    @pytest.mark.parametrize("route", [s_sweep, verify_dual_route])
+    def test_a_sweep_without_elements_is_refused(self, route):
+        # Z from s_to_z holds no elements: neither route may guess the branches it would need
+        zs = s_to_z(s_sweep(z_sweep(FrequencyGrid.logarithmic(1e6, 1e9, 4), GEOM, MAT)))
+        assert zs.elements is None
+        with pytest.raises(ValidationError,
+                           match=f"^{route.__name__} needs elements in the sweep, got NoneType$"):
+            route(zs)
 
 
 class TestRoundTrip:
     def test_model_sweep_roundtrip(self):
         zs = z_sweep(FrequencyGrid.default(), GEOM, MAT)
         for f, z in zip(zs.frequency, zs.z):
-            zrt = s_to_z(z_to_s(ThreePortZ(frequency=f, z=z)))[0]
+            zrt = s_to_z(z_to_s(ZSweep([f], [z]))).z[0]
             assert (np.abs(zrt - z) / np.abs(z)).max() < 1e-9
 
     def test_random_passive_matrices(self):
         rng = np.random.default_rng(42)
         for _ in range(50):
             s = random_passive_symmetric(rng)
-            srt = z_to_s(ThreePortZ(frequency=1e9, z=s_to_z(point(s))[0]))
+            srt = z_to_s(ZSweep([1e9], [s_to_z(point(s)).z[0]]))
             assert np.abs(srt.s[0] - s).max() < 1e-12
 
 
@@ -276,6 +286,12 @@ class TestModalSweep:
         with pytest.raises(ConversionError, match="2e[+]09 Hz"):
             modal_s(f, z_seg, ones, ones, z0=50.0)
 
+    def test_an_overflow_the_z_sweep_let_pass_leaks_no_warning(self):
+        # at 1e200 Hz (w C_si)^2 overflows, so Z_lat is 0 and Z finite; S is refused by name
+        zs = z_sweep(FrequencyGrid.logarithmic(1e6, 1e200, 3), GEOM, MAT)
+        with pytest.raises(ConversionError, match="at 1e[+]200 Hz"):
+            s_sweep(zs)
+
     def test_non_finite_denominator_names_frequency(self):
         f = np.array([1e9, 2e9, 3e9])
         ones = np.ones(3, dtype=complex)
@@ -289,22 +305,22 @@ class TestStackedInverse:
 
     def test_matches_single_points_exactly(self):
         sweep = s_sweep(z_sweep(FrequencyGrid.logarithmic(1e6, 100e9, 700), GEOM, MAT))
-        z = s_to_z(sweep)
+        z = s_to_z(sweep).z
         assert z.shape == (700, 3, 3) and z.dtype == complex
         for k in range(700):
             lone = SSweep(sweep.frequency[k:k + 1], sweep.s[k:k + 1])
-            assert z[k].tobytes() == s_to_z(lone)[0].tobytes()
+            assert z[k].tobytes() == s_to_z(lone).z[0].tobytes()
 
     def test_one_point_sweeps_equal_members_of_the_sweep(self):
         # a one-point sweep takes the SVD, not the bound, whose scaling must never reach it
         sweep = s_sweep(z_sweep(FrequencyGrid.logarithmic(1e6, 100e9, 3), GEOM, MAT))
-        z = s_to_z(sweep)
+        z = s_to_z(sweep).z
         one_record = io.StringIO()
         write_s3p(SSweep(sweep.frequency[1:2], sweep.s[1:2]), one_record)
-        assert s_to_z(read_s3p(one_record.getvalue()).as_sparams()).shape == (1, 3, 3)
+        assert s_to_z(read_s3p(one_record.getvalue()).as_sparams()).z.shape == (1, 3, 3)
         for k in range(3):
             lone = SSweep(sweep.frequency[k:k + 1], sweep.s[k:k + 1])
-            assert s_to_z(lone).tobytes() == z[k:k + 1].tobytes()
+            assert s_to_z(lone).z.tobytes() == z[k:k + 1].tobytes()
 
     @pytest.mark.parametrize("planted", [400, 550])
     def test_refusal_of_one_point_names_what_the_sweep_names(self, planted):
@@ -343,7 +359,7 @@ class TestStackedInverse:
         def no_svd(a):
             raise AssertionError("the guard took an SVD")
         monkeypatch.setattr(sparams, "condition_number", no_svd)
-        assert np.isfinite(s_to_z(sweep)).all()
+        assert np.isfinite(s_to_z(sweep).z).all()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_same_result_as_a_guard_taking_every_svd(self, seed):
@@ -378,10 +394,10 @@ class TestStackedInverse:
         assert seed % 4 == 0
         # the bound leaves some members to the SVD, which clears them
         assert (condition_bound(np.eye(3) - s)[near] > COND_LIMIT).any()
-        assert s_to_z(sweep).tobytes() == expected.tobytes()
+        assert s_to_z(sweep).z.tobytes() == expected.tobytes()
         for k in [*near[:4], 0, n - 1]:   # one matrix takes the SVD itself
             lone = SSweep(f[k:k + 1], s[k:k + 1], sweep.z0)
-            assert s_to_z(lone)[0].tobytes() == expected[k].tobytes()
+            assert s_to_z(lone).z[0].tobytes() == expected[k].tobytes()
 
     @pytest.mark.parametrize("planted", [[400, 550], [550], [400], []])
     def test_named_point_stacks_as_the_every_svd_guard(self, planted):
@@ -394,7 +410,7 @@ class TestStackedInverse:
         sweep = SSweep(f, s)
         expected = reference_s_to_z(sweep)
         if not planted:
-            assert s_to_z(sweep).tobytes() == expected.tobytes()
+            assert s_to_z(sweep).z.tobytes() == expected.tobytes()
             return
         with pytest.raises(ConversionError) as err:
             s_to_z(sweep)
