@@ -165,13 +165,10 @@ def cmd_extract(args) -> int:
     comments = [f"tsvkit {__version__} three-port TSV pair S-parameters"]
     comments += [f"{k} = {getattr(geom, k):.9e}" for k in GEOMETRY_KEYS]
     comments += [f"{k} = {getattr(mat, k):.9e}" for k in MATERIAL_KEYS]
-    s_csv = s_sweep_csv(ss, full=args.full_s)
-    z_csv = z_sweep_csv(zs) if args.z_csv else None
-
     write_s3p(ss, args.out, fmt=args.format, comments=comments)
-    _write_text(args.csv, s_csv)
+    s_sweep_csv(ss, full=args.full_s, destination=args.csv)
     if args.z_csv:
-        _write_text(args.z_csv, z_csv)
+        z_sweep_csv(zs, destination=args.z_csv)
 
     summary = {
         "s3p": args.out,

@@ -120,11 +120,20 @@ class ZSweep:
 
     def __post_init__(self):
         f, z = require_sweep(self.frequency, self.z, "z")
+        if isinstance(self.elements, RlgcElements):
+            _require_elements_at(f, self.elements)
         object.__setattr__(self, "frequency", f)
         object.__setattr__(self, "z", z)
 
     def __len__(self) -> int:
         return len(self.frequency)
+
+
+def _require_elements_at(frequency: np.ndarray, elements: RlgcElements) -> None:
+    """Raise a ValidationError unless ``elements`` hold one value, or one per ``frequency``."""
+    r_half = elements.r_half
+    if isinstance(r_half, np.ndarray) and r_half.ndim and r_half.shape != frequency.shape:
+        raise ValidationError(f"elements hold {r_half.size} frequencies, f {frequency.size}")
 
 
 def branch_impedances(f, elements: RlgcElements):
@@ -170,6 +179,9 @@ def _assemble_z(z_seg, z_lat, z_stack) -> np.ndarray:
 def z_matrix_at(f: float, elements: RlgcElements) -> ZSweep:
     """Closed-form impedance matrix, a sweep of one (see :func:`branch_impedances`)."""
     require_frequency(f)
+    if isinstance(f, np.ndarray) and f.ndim:
+        raise ValidationError(f"z_matrix_at takes one frequency, got an array of shape "
+                              f"{np.shape(f)}; use z_sweep or z_matrix_mna for a vector")
     if isinstance(elements.r_half, np.ndarray):
         raise ValidationError("z_matrix_at needs one-frequency elements; use z_matrix_mna")
     try:
@@ -290,9 +302,7 @@ def z_matrix_mna(f, elements: RlgcElements) -> ZSweep:
     an (N,) vector; ``elements.r_half`` is a scalar or an (N,) array at ``f``.
     """
     freqs = frequency_stack(f)
-    r_half = elements.r_half
-    if np.ndim(r_half) and np.shape(r_half) != np.shape(f):
-        raise ValidationError(f"elements hold {np.size(r_half)} frequencies, f {freqs.size}")
+    _require_elements_at(freqs, elements)
     rhs = np.eye(NODES)[:, PORT_INDEX]   # 1 A into each port
     z = nodal_solve(freqs, nodal_branches(freqs, elements), rhs)[:, PORT_INDEX]
     return ZSweep(freqs, z, elements)
@@ -328,11 +338,15 @@ Z_CSV_HEADER = ("frequency_hz,re_z11,im_z11,re_z12,im_z12,re_z13,im_z13,"
 _UNIQUE_Z = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 
 
-def z_sweep_csv(sweep: ZSweep) -> str:
-    """CSV of the six unique entries of a reciprocal sweep (LF line endings)."""
+def z_sweep_csv(sweep: ZSweep, destination=None) -> str | None:
+    """CSV of the six unique entries of a reciprocal sweep (LF line endings).
+
+    Returned as a ``str``, or written to ``destination``, a path or a stream
+    (see :func:`tsvkit.numerics.write_rows`), piece by piece.
+    """
     entries = sweep.z[:, [i for i, _ in _UNIQUE_Z], [j for _, j in _UNIQUE_Z]]
     table = np.empty((len(sweep), 1 + 2 * len(_UNIQUE_Z)))
     table[:, 0] = sweep.frequency
     table[:, 1::2] = entries.real
     table[:, 2::2] = entries.imag
-    return csv_text(Z_CSV_HEADER, table)
+    return csv_text(Z_CSV_HEADER, table, destination)

@@ -20,12 +20,18 @@ exact product.  If 10**N <= y < 10**(N+1) and |y - rint(y)| < 1/2 - 2 ulp
 (the ulp of 10**(N+1), the largest in that range), ``rint(y)`` is the
 correctly rounded mantissa and the exact product is no tie; a mantissa
 that rounds to 10**(N+1) carries into the exponent.  The ASCII comes from
-tables (4-digit groups; sign, lead digit and point; ``e+XX``) written into
-one uint32 buffer, whose zero bytes mark unused places and are dropped.
-Zero, with its sign, takes this path too.  Every other field is formatted
-with ``%`` into its slot: inf, NaN, subnormals, |k| > 22 (magnitudes
-outside 1e-14 .. 1e31 for ``%.8e``, 1e-10 .. 1e35 for ``%.12e``),
-near-ties, and exponent estimates that are off by one.
+lookup tables, one uint32 word of four bytes at a time, into a buffer of
+(N + 8) / 4 words per field, with no padding: ``[sign, lead digit, '.',
+d1]``, groups of four digits, ``[d, d, d, 'e']`` and ``[exponent sign, X,
+X, separator]``.  The one zero byte left, the sign of a field that is not
+negative, is dropped by ``bytes.replace``.  Zero, with its sign, takes this
+path too.  Every other field is formatted with ``%`` into its slot: inf,
+NaN, |k| > 22 (magnitudes outside 1e-14 .. 1e31 for ``%.8e``, 1e-10 ..
+1e35 for ``%.12e``), near-ties, and exponent estimates that are off by
+one.  A piece holding a field too wide for its slot (a three-digit
+exponent, as of every subnormal) is formatted by ``%`` in full.  The
+pieces are ASCII bytes of about a fixed number of fields, which
+:func:`write_rows` writes straight to an open file.
 
 The inverse, :func:`parse_fields`, turns ASCII text into field counts per
 line and the value of every field, each equal to ``float(field)`` bit for
@@ -47,6 +53,7 @@ other digit counts, ``1_0``, ``nan``, a NUL, exponents outside -14 .. +30
 
 from __future__ import annotations
 
+import io
 import re
 
 import numpy as np
@@ -163,46 +170,54 @@ def condition_bound(a: np.ndarray) -> np.ndarray:
         return np.where(ok, num / np.where(ok, den, 1.0) * (1.0 + _GAMMA), np.inf)
 
 
-PIECE_ROWS = 256
+PIECE_FIELDS = 4864   # fields per piece of text: 256 Touchstone records of 19
 
 
-def pieces(n: int):
-    """Slices covering range(n) in order, PIECE_ROWS at a time.
+def pieces(n: int, columns: int):
+    """Slices covering range(n) in order, rows of ``columns`` fields, about PIECE_FIELDS at a time.
 
     Text formatting works piece by piece, which bounds the memory its
-    temporaries hold.
+    temporaries hold; a piece takes at least one row.
     """
-    return (slice(start, start + PIECE_ROWS) for start in range(0, n, PIECE_ROWS))
+    rows = max(1, PIECE_FIELDS // columns)
+    return (slice(start, start + rows) for start in range(0, n, rows))
 
 
-# Tables of the %.Ne kernel: little-endian uint32 words of four ASCII bytes, in
-# which a zero byte marks an unused place that is dropped from the text.
+# Tables of the %.Ne kernel: little-endian uint32 words of four ASCII bytes.  A
+# field of D digits after the point fills (D + 8) / 4 words, [sign, lead digit,
+# '.', d1], groups of four digits, [d, d, d, 'e'] and [exponent sign, X, X,
+# separator], where the sign of a field that is not negative is a zero byte.
 _WORD = np.dtype("<u4")
 _FAST_K = 22   # 10.0**k is an exact double for 0 <= k <= 22
 _POW10 = np.array([float(10 ** k) for k in range(_FAST_K + 1)])
-_digits = np.frombuffer(b"0123456789", dtype=np.uint8)
-_groups = np.empty((10,) * 4 + (4,), dtype=np.uint8)
-for _place in range(4):   # the digit in place p of a group runs along axis p
-    _groups[..., _place] = _digits.reshape((10,) + (1,) * (3 - _place))
-_GROUPS = _groups.view(_WORD).reshape(-1)   # "0000" .. "9999"
-# sign (or nothing), lead digit and point, indexed by 10 * negative + lead digit
-_HEADS = np.frombuffer(b"".join(sign + b"%d.\0" % lead for sign in (b"\0", b"-")
-                                for lead in range(10)), dtype=_WORD)
-# "e-99" .. "e+99", indexed by exponent + 99
-_EXPONENTS = np.frombuffer(b"".join(b"e%+03d" % e for e in range(-99, 100)), dtype=_WORD)
-del _digits, _groups, _place
+
+
+def _words(*places) -> np.ndarray:
+    """The words of every combination of ``places``, each a bytes of choices, the first slowest."""
+    axes = [np.frombuffer(choices, dtype=np.uint8) for choices in places]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    return np.ascontiguousarray(grid).view(_WORD).reshape(-1)
+
+
+_DIGITS = b"0123456789"
+_HEADS = _words(b"\0-", _DIGITS, b".", _DIGITS)         # 100 * negative + 10 * lead + d1
+_GROUPS = _words(_DIGITS, _DIGITS, _DIGITS, _DIGITS)      # "0000" .. "9999"
+_TAILS = _words(_DIGITS, _DIGITS, _DIGITS, b"e")          # "000e" .. "999e"
+# "-99" .. "+99", indexed by exponent + 99, the separator byte left zero
+_EXPONENTS = np.frombuffer(b"".join(b"%+03d\0" % e for e in range(-99, 100)), dtype=_WORD)
 
 
 def format_rows(table: np.ndarray, digits: int, separators: str):
-    """Text of an (N, M) float table, yielded in pieces of PIECE_ROWS rows.
+    """ASCII text of an (N, M) float table, as an iterator of bytes pieces.
 
     Each field is exactly ``"%.{digits}e" % x`` and is followed by its
     column's character in ``separators`` (M characters, the last usually a
     line end).  ``digits``, the count after the point, is 4, 8 or 12, whole
     groups of four (Touchstone uses 8, CSV 12).  The digits come from array
     arithmetic (see the module docstring); the fields that arithmetic cannot
-    vouch for are formatted with ``%``.  Working in pieces bounds the memory
-    of the temporaries.
+    vouch for are formatted with ``%``.  A piece holds whole rows, about
+    PIECE_FIELDS fields, which bounds the memory of the temporaries.  The
+    arguments are checked here, before the first piece is asked for.
     """
     table = np.asarray(table, dtype=float)
     if digits not in (4, 8, 12):
@@ -210,15 +225,23 @@ def format_rows(table: np.ndarray, digits: int, separators: str):
     if len(separators) != table.shape[1]:
         raise ValidationError(f"need one separator per column ({table.shape[1]}), "
                               f"got {len(separators)}")
+    return _format_pieces(table, digits, separators)
+
+
+def _format_pieces(table: np.ndarray, digits: int, separators: str):
     spec = f"%.{digits}e"
     low, high = 10 ** digits, 10 ** (digits + 1)
     # |y - rint(y)| must clear 1/2 by twice the largest ulp of a mantissa below `high`
     guard = 0.5 - 2.0 * float(np.spacing(float(high)))
-    groups = digits // 4
-    words = 3 + groups   # head, digit groups, exponent, separator
+    words = (digits + 8) // 4
+    head_unit = 10 ** (digits - 1)   # a mantissa over this is its lead digit and d1
+    # the last word of a field, [exponent sign, X, X, separator], of every column and
+    # exponent; a field's is at last_base[column] - k + carry (its exponent is digits - k + carry)
     sep_words = np.array([ord(c) for c in separators], dtype=_WORD) << 24
+    last_words = (sep_words[:, None] | _EXPONENTS).ravel()
+    last_base = np.arange(len(separators)) * len(_EXPONENTS) + digits + 99
     sep_bytes = [c.encode("ascii") for c in separators]
-    for piece in pieces(len(table)):
+    for piece in pieces(len(table), table.shape[1]):
         x = table[piece]
         a = np.abs(x)
         with np.errstate(all="ignore"):
@@ -233,31 +256,68 @@ def format_rows(table: np.ndarray, digits: int, separators: str):
             # y in the mantissa range (or zero) and clear of a tie:
             # rint(y) is then the correctly rounded mantissa
             fast = ((y >= low) | (y == 0)) & (y < high) & (np.abs(y - m) < guard)
-        m = np.where(fast, m, low).astype(np.int64)
+            m = m.astype(np.int64)   # meaningless where not fast, so replaced below
+        slow = np.flatnonzero(~fast)
+        m.ravel()[slow] = low
         carry = m == high   # 9.99..95 rounds up into the next exponent
         m[carry] = low
-        lead = m // low
-        rest = m - lead * low
+        top = m // head_unit
+        rest = m - top * head_unit   # digits - 1 digits: groups of four, then three
         buf = np.empty(x.shape + (words,), dtype=_WORD)
-        buf[..., 0] = _HEADS[np.signbit(x) * 10 + lead]
-        for g in range(groups, 0, -1):
-            quotient = rest // 10_000
-            buf[..., g] = _GROUPS[rest - quotient * 10_000]
-            rest = quotient
-        buf[..., -2] = _EXPONENTS[digits - k + carry + 99]
-        buf[..., -1] = sep_words
-        slow = np.flatnonzero(~fast)
+        buf[..., 0] = _HEADS[np.signbit(x) * 100 + top]
+        quotient = rest // 1000
+        buf[..., -2] = _TAILS[rest - quotient * 1000]
+        for g in range(words - 3, 1, -1):   # the groups of four, the last first
+            rest = quotient // 10_000
+            buf[..., g] = _GROUPS[quotient - rest * 10_000]
+            quotient = rest
+        if words > 3:
+            buf[..., 1] = _GROUPS[quotient]
+        buf[..., -1] = last_words[(last_base - k) + carry]
         if slow.size:
-            cols = slow % x.shape[1]
-            text = b"".join((spec % v).encode("ascii").ljust(4 * words - 1, b"\0")
-                            + sep_bytes[c] for v, c in zip(x.ravel()[slow].tolist(), cols.tolist()))
+            fields = [(spec % v).encode("ascii") for v in x.ravel()[slow].tolist()]
+            if max(map(len, fields)) >= 4 * words:   # no room for its separator
+                yield b"".join((spec % v).encode("ascii") + sep
+                               for v, sep in zip(x.ravel().tolist(), sep_bytes * len(x)))
+                continue
+            text = b"".join(field.ljust(4 * words - 1, b"\0") + sep_bytes[c]
+                            for field, c in zip(fields, (slow % x.shape[1]).tolist()))
             buf.reshape(-1, words)[slow] = np.frombuffer(text, dtype=_WORD).reshape(-1, words)
-        yield buf.tobytes().translate(None, b"\0").decode("ascii")
+        # the only zero bytes: the sign of a field that is not negative, and a slot's padding
+        yield buf.tobytes().replace(b"\0", b"")
 
 
-def csv_text(header: str, table: np.ndarray) -> str:
-    """CSV of an (N, M) float table: the header line, then ``%.12e`` fields, LF endings."""
-    return header + "\n" + "".join(format_rows(table, 12, "," * (table.shape[1] - 1) + "\n"))
+def write_rows(destination, head: str, table: np.ndarray, digits: int, separators: str) -> None:
+    """Write ``head``, then the text of :func:`format_rows`, to ``destination`` piece by piece.
+
+    ``destination`` is a path, opened in binary mode, a binary stream
+    (``io.RawIOBase`` or ``io.BufferedIOBase``), or any other stream, which
+    takes ``str``.  The arguments of :func:`format_rows`, and for bytes the
+    ASCII of ``head``, are checked before a path is opened.
+    """
+    rows = format_rows(table, digits, separators)
+    if not hasattr(destination, "write"):
+        data = head.encode("ascii")
+        with open(destination, "wb") as fh:
+            fh.write(data)
+            fh.writelines(rows)
+    elif isinstance(destination, (io.RawIOBase, io.BufferedIOBase)):
+        destination.write(head.encode("ascii"))
+        destination.writelines(rows)
+    else:
+        destination.write(head)
+        destination.writelines(piece.decode("ascii") for piece in rows)
+
+
+def csv_text(header: str, table: np.ndarray, destination=None):
+    """CSV of an (N, M) float table: the header line, then ``%.12e`` fields, LF endings.
+
+    Returned as a ``str``; given a ``destination`` (see :func:`write_rows`),
+    written there instead, and None returned.
+    """
+    out = io.StringIO() if destination is None else destination
+    write_rows(out, header + "\n", table, 12, "," * (table.shape[1] - 1) + "\n")
+    return out.getvalue() if destination is None else None
 
 
 _NON_ASCII = re.compile(r"[^\x00-\x7f]")
@@ -283,7 +343,6 @@ _BREAK = np.zeros(256, dtype=bool)
 _BREAK[list(b"\n\r\v\f\x1c\x1d\x1e")] = True
 LINE_BREAK = re.compile(rb"\r\n|[\n\r\v\f\x1c-\x1e]")   # one line end, CR LF as one
 _COMMENT = re.compile(rb"![^\n\r\v\f\x1c-\x1e]*")
-_SPLIT_SPACE = bytes.maketrans(b"\x1c\x1d\x1e\x1f", b"    ")   # bytes.split() keeps FS .. US
 PIECE_BYTES = 1 << 17   # parse_fields works through this many bytes of whole lines at a time
 _PAD = b" " * 16   # before the text, so that a load at (field end - 16) stays inside it
 _U64 = np.uint64
@@ -412,10 +471,7 @@ def _parse_piece(text: bytes, start: int, stop: int):
     slow[c] = ~ok | np.isnan(fast)
     slow = np.flatnonzero(slow)
     if slow.size:
-        piece = text[start:stop]
-        if (control_bytes >= 28).any():
-            piece = piece.translate(_SPLIT_SPACE)
-        fields = piece.split()
+        fields = text[start:stop].decode("ascii").split()   # str.split() splits FS .. US too
         if slow.size < n:
             fields = [fields[j] for j in slow.tolist()]
         try:
@@ -426,6 +482,6 @@ def _parse_piece(text: bytes, start: int, stop: int):
                     float(field)
                 except ValueError:
                     line = int(np.searchsorted(line_ends, j, side="right"))
-                    raise FieldError(field.decode("ascii"), line,
+                    raise FieldError(field, line,
                                      j - int(line_ends[line - 1] if line else 0)) from None
     return line_ends, values

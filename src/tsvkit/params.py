@@ -38,6 +38,8 @@ def require(name, value, rule, lowest=0.0, highest=sys.float_info.max, kinds="fi
     ``value`` is a real number or an array whose dtype kind is in ``kinds``
     (complex if "c" is: its magnitude is bounded); the error names the first
     value outside, as a plain number, and ``rule``, ``{lowest}``/``{highest}`` filled in.
+    A numpy scalar other than float64 (and complex128) is refused, its type named:
+    arithmetic with a float32 would stay in float32.
     """
     if type(value) is float and lowest <= value <= highest:
         return   # the common case, without numpy's per-call cost
@@ -46,14 +48,18 @@ def require(name, value, rule, lowest=0.0, highest=sys.float_info.max, kinds="fi
         m = magnitude(value).astype(float, copy=False)   # a float32 cannot hold the bounds
         if not m.size or (lowest <= m.min() and m.max() <= highest):
             return
-        value = value[~((m >= lowest) & (m <= highest))][0]
+        value = value[~((m >= lowest) & (m <= highest))][0].item()
     elif is_finite_real(value) or ("c" in kinds and isinstance(value, complex)
                                    and cmath.isfinite(value)):
         if lowest <= magnitude(value) <= highest:
             return
-    if isinstance(value, np.generic) and value.dtype.kind in kinds:
-        value = value.item()
     rule = rule.format(lowest=lowest, highest=highest)   # only here: a float costs to format
+    if isinstance(value, np.generic):
+        if not isinstance(value, (float, complex)):   # float64 and complex128 are Python's
+            raise ValidationError(f"{name} must be {rule}, as a Python number or a numpy "
+                                  f"float64, got a numpy {type(value).__name__} "
+                                  f"({value.item()!r})")
+        value = value.item()
     raise ValidationError(f"{name} must be {rule}, got {value!r}")
 
 

@@ -192,14 +192,18 @@ _FULL_COLS = [f"{part}_s{i}{j}" for i in (1, 2, 3) for j in (1, 2, 3) for part i
 S_CSV_HEADER_FULL = S_CSV_HEADER + "," + ",".join(_FULL_COLS)
 
 
-def s_sweep_csv(sweep: SSweep, full: bool = False) -> str:
-    """CSV of |S21| and |S31| in dB, optionally with all Re/Im entries."""
-    mags = np.abs(sweep.s[:, 1:, 0])
-    columns = [sweep.frequency[:, None]]
+def s_sweep_csv(sweep: SSweep, full: bool = False, destination=None) -> str | None:
+    """CSV of |S21| and |S31| in dB, optionally with all Re/Im entries.
+
+    Returned as a ``str``, or written to ``destination``, a path or a stream
+    (see :func:`tsvkit.numerics.write_rows`), piece by piece.
+    """
+    table = np.empty((len(sweep), 21 if full else 3))
+    table[:, 0] = sweep.frequency
     with np.errstate(divide="ignore"):
-        columns.append(20.0 * np.log10(mags))   # an exact zero gives -inf
+        table[:, 1:3] = 20.0 * np.log10(np.abs(sweep.s[:, 1:, 0]))   # an exact zero gives -inf
     if full:
         flat = sweep.s.reshape(len(sweep), 9)
-        columns.append(np.stack([flat.real, flat.imag], axis=-1).reshape(len(sweep), 18))
-    table = np.hstack(columns)
-    return csv_text(S_CSV_HEADER_FULL if full else S_CSV_HEADER, table)
+        table[:, 3::2] = flat.real
+        table[:, 4::2] = flat.imag
+    return csv_text(S_CSV_HEADER_FULL if full else S_CSV_HEADER, table, destination)

@@ -16,7 +16,6 @@ line number.  Both directions work on arrays over the frequency axis.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import os
 from dataclasses import dataclass, field
@@ -24,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TouchstoneError, ValidationError
-from .numerics import LINE_BREAK, FieldError, format_rows, non_ascii_line, parse_fields
+from .numerics import LINE_BREAK, FieldError, non_ascii_line, parse_fields, write_rows
 from .params import require_type
 from .sparams import SSweep
 
@@ -86,7 +85,7 @@ class TouchstoneDocument:
 
 
 def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
-    """Write a sweep as Touchstone v1 text to a path or text stream.
+    """Write a sweep as Touchstone v1 text to a path, a binary stream or a text stream.
 
     ``sweep`` is an :class:`SSweep`.  ``comments`` become leading ``!`` lines
     (generator metadata, parameter set).  A sweep the reader would refuse
@@ -120,10 +119,8 @@ def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
     if not np.all(table[1:, 0] > table[:-1, 0]):
         raise ValidationError("sweep frequencies must be strictly increasing")
 
-    with (contextlib.nullcontext(destination) if hasattr(destination, "write")
-          else open(destination, "w", encoding="ascii", newline="\n")) as fh:
-        fh.write("".join(f"! {c}\n" for c in comments) + f"# Hz S {fmt} R {sweep.z0:g}\n")
-        fh.writelines(format_rows(table, RECORD_DIGITS, RECORD_SEPARATORS))
+    write_rows(destination, "".join(f"! {c}\n" for c in comments) + f"# Hz S {fmt} R {sweep.z0:g}\n",
+               table, RECORD_DIGITS, RECORD_SEPARATORS)
 
 
 def _parse_option_line(line: str, lineno: int):

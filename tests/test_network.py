@@ -1,5 +1,6 @@
 """Three-port assembly, dual-route impedance computation, sweep contracts."""
 
+import io
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -125,6 +126,12 @@ class TestClosedForm:
             z_matrix_at(-1e9, EL_1GHZ)
         with pytest.raises(ValidationError, match="one-frequency elements"):
             z_matrix_at(1e9, rlgc_at(np.array([1e9, 2e9]), GEOM, MAT))
+
+    def test_a_vector_is_refused_by_the_one_frequency_rule(self):
+        for f in (np.array([1e9, 2e9]), np.array([1e9])):
+            with pytest.raises(ValidationError, match=r"^z_matrix_at takes one frequency, "
+                                                      r"got an array of shape \("):
+                z_matrix_at(f, EL_1GHZ)
 
 
 class TestDualRoute:
@@ -345,6 +352,17 @@ class TestRecord:
         with pytest.raises(ValidationError, match=named):
             ZSweep(f, z)
 
+    def test_elements_at_other_frequencies_are_refused(self):
+        f = np.array([1e8, 1e9, 1e10])
+        elements = rlgc_at(f[:2], GEOM, MAT)
+        with pytest.raises(ValidationError, match="^elements hold 2 frequencies, f 3$"):
+            ZSweep(f, np.ones((3, 3, 3)), elements)
+        sweep = z_sweep(FrequencyGrid(f), GEOM, MAT)
+        with pytest.raises(ValidationError, match="^elements hold 2 frequencies, f 3$"):
+            replace(sweep, elements=elements)
+        # one value serves every frequency
+        assert ZSweep(f, sweep.z, EL_1GHZ).elements is EL_1GHZ
+
     def test_elements_default_to_none_and_a_route_refuses_any_other_kind(self):
         assert ZSweep([1e9], np.ones((1, 3, 3))).elements is None
         with pytest.raises(ValidationError, match="^verify_dual_route needs elements in the "
@@ -413,3 +431,10 @@ class TestSweep:
         assert lines[0] == Z_CSV_HEADER
         assert len(lines) == 5
         assert len(lines[1].split(",")) == 13
+
+    def test_csv_written_to_a_path_or_a_stream_as_returned(self, tmp_path):
+        sweep = z_sweep(FrequencyGrid.logarithmic(1e6, 1e9, 2000), GEOM, MAT)
+        path, stream = tmp_path / "z.csv", io.StringIO()
+        assert z_sweep_csv(sweep, path) is None and z_sweep_csv(sweep, stream) is None
+        assert path.read_bytes() == stream.getvalue().encode("ascii") == \
+            z_sweep_csv(sweep).encode("ascii")

@@ -7,8 +7,9 @@ import pytest
 
 from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid, NetworkDegeneracyError,
                     ValidationError, numerics, s_sweep, z_sweep)
-from tsvkit.numerics import (PIECE_ROWS, FieldError, condition_bound, condition_number, csv_text,
-                             format_rows, non_ascii_line, parse_fields, pieces, solve_extended)
+from tsvkit.numerics import (PIECE_FIELDS, FieldError, condition_bound, condition_number, csv_text,
+                             format_rows, non_ascii_line, parse_fields, pieces, solve_extended,
+                             write_rows)
 
 
 def random_stack(rng, count, n):
@@ -169,11 +170,12 @@ class TestConditionBound:
 
 
 def test_pieces_cover_the_axis_in_order():
-    axis = range(2 * PIECE_ROWS + 3)
-    assert [i for piece in pieces(len(axis)) for i in axis[piece]] == list(axis)
-    assert [len(axis[piece]) for piece in pieces(len(axis))] == [PIECE_ROWS, PIECE_ROWS, 3]
-    assert PIECE_ROWS == 256
-    assert list(pieces(0)) == []
+    rows = PIECE_FIELDS // 19   # Touchstone records of 19 fields
+    axis = range(2 * rows + 3)
+    assert [i for piece in pieces(len(axis), 19) for i in axis[piece]] == list(axis)
+    assert [len(axis[piece]) for piece in pieces(len(axis), 19)] == [rows, rows, 3]
+    assert rows == 256
+    assert list(pieces(0, 19)) == []
 
 
 def reference_rows(table, digits, separators):
@@ -196,7 +198,7 @@ class TestFormatRows:
 
     def check(self, values, digits, separators=SEPARATORS):
         table = as_table(values, len(separators))
-        assert "".join(format_rows(table, digits, separators)) == \
+        assert b"".join(format_rows(table, digits, separators)).decode() == \
             reference_rows(table, digits, separators)
 
     def test_exact_and_near_ties(self, digits):
@@ -248,16 +250,42 @@ class TestFormatRows:
             self.check(np.column_stack([zs.frequency, flat.real, flat.imag]), digits,
                        "," * 18 + "\n")
 
+    def test_every_column_count_across_pieces(self, digits):
+        rng = np.random.default_rng(digits + 1)
+        for columns in range(1, 20):
+            rows = PIECE_FIELDS // columns
+            table = 10.0 ** rng.uniform(-30, 30, (2 * rows + 3, columns))
+            table *= rng.choice([-1.0, 1.0], table.shape)
+            for j in range(columns):
+                # first piece: fields % writes into their slots
+                table[3 * j:3 * j + 3, j] = np.inf, np.nan, -0.0
+                # second piece: fields too wide for a slot, so % writes the piece whole
+                table[rows + 3 * j:rows + 3 * j + 3, j] = 1e200, -1e-310, -np.inf
+                table[2 * rows + j % 3, j] = -0.0   # the last piece, of three rows
+            separators = "," * (columns - 1) + "\n"
+            out = list(format_rows(table, digits, separators))
+            assert [piece.count(b"\n") for piece in out] == [rows, rows, 3]
+            assert b"".join(out).decode() == reference_rows(table, digits, separators)
+
     def test_pieces_and_arguments(self, digits):
-        table = as_table(np.arange(1.0, 1 + 7 * (PIECE_ROWS + 5)))
+        rows = PIECE_FIELDS // 7
+        table = as_table(np.arange(1.0, 1 + 7 * (rows + 5)))
         out = list(format_rows(table, digits, SEPARATORS))
-        assert [piece.count("\n") for piece in out] == [PIECE_ROWS, 5]
+        assert [piece.count(b"\n") for piece in out] == [rows, 5]
         assert list(format_rows(np.empty((0, 7)), digits, SEPARATORS)) == []
         assert csv_text("a,b", np.array([[1.0, -0.0]])) == "a,b\n%.12e,%.12e\n" % (1.0, -0.0)
         with pytest.raises(ValidationError):
             list(format_rows(table, digits, SEPARATORS[1:]))
         with pytest.raises(ValidationError):
             list(format_rows(table, 10, SEPARATORS))
+
+
+def test_arguments_are_checked_before_a_path_is_opened(tmp_path):
+    path = tmp_path / "never.txt"
+    for digits, separators in ((10, ",\n"), (12, "\n")):
+        with pytest.raises(ValidationError):
+            write_rows(path, "head\n", np.ones((2, 2)), digits, separators)
+        assert not path.exists()
 
 
 def reference_fields(text):

@@ -169,6 +169,18 @@ class TestRequire:
             with pytest.raises(ValidationError, match=f"^x must be positive, got {bad}$"):
                 require("x", np.array([1.0, bad], dtype=np.float32), "positive", lowest=5e-324)
 
+    @pytest.mark.parametrize("value, named", [
+        (np.float32(0.3), r"got a numpy float32 \(0\.30000001192092896\)"),
+        (np.int64(3), r"got a numpy int64 \(3\)"), (np.float16(-1.0), r"got a numpy float16")],
+        ids=["float32", "int64", "float16"])
+    def test_a_numpy_scalar_other_than_float64_is_refused_by_its_type(self, value, named):
+        with pytest.raises(ValidationError, match=r"^x must be finite and >= 0\.0, as a Python "
+                                                  r"number or a numpy float64, " + named):
+            require("x", value, "finite and >= {lowest}")
+        require("x", np.float64(0.3), "finite and >= {lowest}")
+        with pytest.raises(ValidationError, match=r"^x must be finite and >= 0\.0, got -1\.0$"):
+            require("x", np.float64(-1.0), "finite and >= {lowest}")
+
     def test_rule_names_its_bounds(self):
         with pytest.raises(ValidationError, match=r"^x must be in \[1\.0, 2\.0\], got 0\.5$"):
             require("x", 0.5, "in [{lowest}, {highest}]", lowest=1.0, highest=2.0)

@@ -461,6 +461,14 @@ class TestCsv:
         assert lines[0] == "frequency_hz,s21_db,s31_db"
         assert len(lines) == 4
 
+    @pytest.mark.parametrize("full", [False, True])
+    def test_written_to_a_path_or_a_stream_as_returned(self, full, tmp_path):
+        sweep = s_sweep(z_sweep(FrequencyGrid.logarithmic(1e6, 1e9, 2000), GEOM, MAT))
+        text, path, stream = s_sweep_csv(sweep, full), tmp_path / "s.csv", io.BytesIO()
+        assert s_sweep_csv(sweep, full, path) is None
+        assert s_sweep_csv(sweep, full, destination=stream) is None
+        assert path.read_bytes() == stream.getvalue() == text.encode("ascii")
+
     def test_full_export_has_all_entries(self):
         sweep = s_sweep(z_sweep(FrequencyGrid.logarithmic(1e6, 1e9, 3), GEOM, MAT))
         lines = s_sweep_csv(sweep, full=True).strip().split("\n")

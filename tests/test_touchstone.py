@@ -118,6 +118,14 @@ class TestWriter:
                 write_s3p(bad, stream, fmt=fmt)
             assert stream.getvalue() == ""
 
+    def test_same_bytes_to_a_path_a_binary_and_a_text_stream(self, tmp_path):
+        sweep = model_sweep(n=600)   # three pieces of text
+        path, binary, text = tmp_path / "pair.s3p", io.BytesIO(), io.StringIO()
+        for destination in (path, binary, text):
+            write_s3p(sweep, destination, comments=["generator x"])
+        assert path.read_bytes() == binary.getvalue() == text.getvalue().encode("ascii")
+        assert read_s3p(path).records.matrices.shape == (600, 3, 3)
+
     def test_path_output(self, tmp_path):
         path = tmp_path / "pair.s3p"
         write_s3p(model_sweep(n=2), path)
