@@ -30,7 +30,7 @@ TRANSFER_PROBE_HZ = 1e9        # where the two substrate-transfer routes are com
 def _through_touchstone(ss) -> np.ndarray:
     buf = io.StringIO()
     write_s3p(ss, buf, fmt="RI")
-    return read_s3p(buf.getvalue()).records.matrices
+    return read_s3p(buf.getvalue()).sweep.s
 
 
 def _transfer_disagreement(geom, mat) -> float:

@@ -106,11 +106,6 @@ def _print_json(summary):
     print(json.dumps(finite(summary), sort_keys=True, allow_nan=False))
 
 
-def _write_text(path, text):
-    with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
-
-
 def _require_writable(*paths):
     """Raise a ConfigError naming the first of ``paths`` (None skipped) that cannot be written."""
     for path in filter(None, paths):
@@ -206,15 +201,15 @@ def cmd_sweep(args) -> int:
         point = {param: value}
         g, m = geometry_from_mapping(point, geom), materials_from_mapping(point, mat)
         rows.append((value, _sweep_metric(args.metric, g, m, args.probe_frequency, z0)))
-    text = csv_text(f"{param},{args.metric}", np.array(rows))
+    header = f"{param},{args.metric}"
     if args.out:
-        _write_text(args.out, text)
+        csv_text(header, np.array(rows), args.out)
     if args.json:
         _print_json({"param": param, "metric": args.metric, "rows": rows, "out": args.out})
     elif args.out:
         print(f"wrote {len(rows)} rows to {args.out}")
     else:
-        print(text, end="")
+        print(csv_text(header, np.array(rows)), end="")
     return 0
 
 
@@ -273,9 +268,8 @@ def cmd_spur(args) -> int:
     except TsvKitError:
         slope = None   # fewer than two finite points (e.g. zero-amplitude rows)
     total = rows[-1][1] - rows[0][1]
-    text = csv_text(header, np.array(rows))
     if args.out:
-        _write_text(args.out, text)
+        csv_text(header, np.array(rows), args.out)
     summary = {
         "mode": args.mode,
         "f_osc_hz": osc.f_osc,
@@ -296,7 +290,7 @@ def cmd_spur(args) -> int:
         _print_json(summary)
     else:
         if not args.out:
-            print(text, end="")
+            print(csv_text(header, np.array(rows)), end="")
         print(f"k_sub = {osc.k_sub:.6e} Hz/V")
         if amplitude_mode:
             print(f"upper sideband at f_osc + f_agg = {(osc.f_osc + args.f_agg) / 1e9:.4f} GHz")

@@ -81,12 +81,8 @@ class FrequencyGrid:
 
     def __post_init__(self):
         pts = np.array(self.points)
-        if pts.ndim != 1 or not pts.size:
-            raise ValidationError("frequency grid must be a nonempty 1-D sequence")
         require_frequency(pts)
-        pts = pts.astype(float, copy=False)
-        if not np.all(pts[1:] > pts[:-1]):
-            raise ValidationError("grid frequencies must be strictly increasing")
+        pts = require_sweep(pts)[0]
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
 
@@ -109,7 +105,9 @@ class FrequencyGrid:
 class ZSweep:
     """Impedance matrices over a frequency vector, with the elements they were built from.
 
-    ``z`` has shape (N, 3, 3); a single point is a sweep of one.  ``elements`` is None
+    ``z`` has shape (N, 3, 3); a single point is a sweep of one.  The record holds
+    the sweep rule (:func:`~tsvkit.params.require_sweep`): finite matrices over
+    finite, non-negative, strictly increasing frequencies.  ``elements`` is None
     where none made Z (``s_to_z``, or typed in).  Modal S works on their branch
     impedances, as Z_seg = Z11 - Z13 would cancel ~8 digits at the bottom of the grid.
     """
@@ -188,8 +186,6 @@ def z_matrix_at(f: float, elements: RlgcElements) -> ZSweep:
         z = _assemble_z(*branch_impedances(f, elements))
     except ZeroDivisionError:
         raise NetworkDegeneracyError("zero branch admittance", frequency=f) from None
-    if not np.isfinite(z).all():
-        raise NetworkDegeneracyError("non-finite impedance entries", frequency=f)
     return ZSweep(np.array([f], dtype=float), z[None], elements)
 
 
@@ -312,13 +308,8 @@ def z_sweep(grid: FrequencyGrid, geom: TsvGeometry, mat: MaterialParams) -> ZSwe
     """Closed-form impedance matrices over the grid, computed as arrays over f."""
     f = grid.points
     elements = rlgc_at(f, geom, mat)
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):   # ZSweep refuses NaN, inf
         z = _assemble_z(*branch_impedances(f, elements))
-    bad = np.flatnonzero(~np.isfinite(z).all(axis=(1, 2)))
-    if bad.size:
-        raise NetworkDegeneracyError(
-            f"sweep failed at {f[bad[0]]:.6g} Hz: non-finite impedance entries",
-            frequency=float(f[bad[0]]))
     return ZSweep(f, z, elements)
 
 

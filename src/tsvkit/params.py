@@ -78,13 +78,35 @@ def require_type(caller, value, kind, what) -> None:
         raise ValidationError(f"{caller} needs {what}, got {type(value).__name__}")
 
 
-def require_sweep(frequency, matrices, name: str):
-    """``frequency`` as (N,) floats and ``matrices``, named ``name``, as (N, 3, 3) complex."""
-    f, m = np.asarray(frequency, dtype=float), np.asarray(matrices, dtype=complex)
+def require_sweep(frequency, matrices=None, name: str = ""):
+    """The sweep rule: ``frequency`` as (N,) floats, ``matrices``, named ``name``, as (N, 3, 3).
+
+    The frequencies must be finite, non-negative (a DC point is allowed) and
+    strictly increasing, and the matrices, if given, all finite.  Returns the
+    two arrays (the second None for a bare frequency axis).  A refusal is a
+    :class:`ValidationError` naming the first bad record by number and frequency.
+    """
+    f = np.asarray(frequency, dtype=float)
     if f.ndim != 1 or not f.size:
         raise ValidationError("a sweep needs a nonempty 1-D frequency vector")
+    lone = len(f) == 1   # the common case, checked in Python without numpy's per-call cost
+    if not (0.0 <= float(f[0]) < math.inf if lone else
+            np.isfinite(f).all() and f[0] >= 0.0 and (f[1:] > f[:-1]).all()):
+        with np.errstate(invalid="ignore"):   # a NaN compares False: it is refused
+            bad = ~((f >= 0.0) & (f < math.inf))
+            bad[1:] |= ~(f[1:] > f[:-1])
+        k = np.flatnonzero(bad)[0]
+        raise ValidationError(f"frequencies must be finite, non-negative and strictly "
+                              f"increasing: record {k + 1} is at {f[k]:.6g} Hz")
+    if matrices is None:
+        return f, None
+    m = np.asarray(matrices, dtype=complex)
     if m.shape != f.shape + (3, 3):
         raise ValidationError(f"{name} must have shape {f.shape + (3, 3)}, got {m.shape}")
+    if not (all(map(cmath.isfinite, m.flat)) if lone else np.isfinite(m).all()):
+        k = np.flatnonzero(~np.isfinite(m).all(axis=(1, 2)))[0]
+        raise ValidationError(f"{name} must be finite: record {k + 1} at {f[k]:.6g} Hz "
+                              "holds a non-finite entry")
     return f, m
 
 

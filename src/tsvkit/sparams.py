@@ -42,7 +42,8 @@ def _check_z0(z0) -> None:
 class SSweep:
     """Scattering matrices over a frequency vector, referenced to one real z0.
 
-    ``s`` has shape (N, 3, 3); a single point is a sweep of one.
+    ``s`` has shape (N, 3, 3); a single point is a sweep of one.  The record
+    holds the sweep rule (:func:`~tsvkit.params.require_sweep`), as a ZSweep does.
     """
 
     frequency: np.ndarray
@@ -105,7 +106,7 @@ def s_to_z(sp: SSweep) -> ZSweep:
     """Invert the scattering conversion of a sweep: Z = z0 (I + S)(I - S)^-1, with no elements."""
     require_type("s_to_z", sp, SSweep, "an SSweep")
     eye = np.eye(3)
-    with np.errstate(invalid="ignore"):   # inf * 0 of an inf entry: the guard refuses it
+    with np.errstate(over="ignore"):   # z0 times a huge entry: the guard refuses it
         b = sp.z0 * (eye + sp.s)
     return ZSweep(sp.frequency, _guarded_solve(eye - sp.s, b, sp.frequency, "(I - S)",
                                                "; S has a near-unit eigenvalue"))

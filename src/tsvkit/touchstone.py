@@ -10,8 +10,8 @@ The reader takes ASCII only, ends lines where ``str.splitlines`` does,
 tolerates arbitrary whitespace, blank lines and ``!`` comments,
 accepts RI/MA/DB value formats and Hz/kHz/MHz/GHz units, and rejects (never
 repairs) malformed option lines, wrong per-line value counts, non-numeric
-or non-finite values and non-monotonic frequencies, each with the offending
-line number.  Both directions work on arrays over the frequency axis.
+or non-finite values and negative or non-monotonic frequencies, each with the
+offending line number.  Both directions work on arrays over the frequency axis.
 """
 
 from __future__ import annotations
@@ -60,67 +60,54 @@ class Records:
 class TouchstoneDocument:
     """Parsed contents of a three-port Touchstone v1 file."""
 
+    sweep: SSweep                       # frequencies in Hz, S and its reference resistance z0
     frequency_unit: str                 # 'Hz' | 'kHz' | 'MHz' | 'GHz' as written
-    parameter_type: str                 # always 'S'
     value_format: str                   # 'RI' | 'MA' | 'DB'
-    reference_resistance: float         # ohm
-    records: Records                    # (frequency_hz, 3x3 complex ndarray) pairs
     comments: tuple = field(default=())
 
-    def __post_init__(self):
-        records = self.records
-        if not isinstance(records, Records):
-            raise ValidationError(f"records must be a Records, got {type(records).__name__}")
-        freqs = records.frequencies
-        if not len(freqs):
-            raise ValidationError("a Touchstone document needs at least one record")
-        if not np.all(freqs[1:] > freqs[:-1]):
-            raise ValidationError("record frequencies must be strictly increasing")
-        if not (np.isfinite(records.matrices).all() and np.isfinite(freqs).all()):
-            raise ValidationError("matrix entries and frequencies must be finite")
-
-    def as_sparams(self) -> SSweep:
-        return SSweep(self.records.frequencies, self.records.matrices,
-                      self.reference_resistance)
+    @property
+    def records(self) -> Records:
+        """The sweep as (frequency_hz, 3x3 complex ndarray) pairs."""
+        return Records(self.sweep.frequency, self.sweep.s)
 
 
 def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
     """Write a sweep as Touchstone v1 text to a path, a binary stream or a text stream.
 
-    ``sweep`` is an :class:`SSweep`.  ``comments`` become leading ``!`` lines
-    (generator metadata, parameter set).  A sweep the reader would refuse
-    (non-finite values, frequencies not strictly increasing) raises
-    :class:`ValidationError` before any byte is written.
+    ``sweep`` is an :class:`SSweep`, which holds the sweep rule the reader
+    checks too.  ``comments`` become leading ``!`` lines (generator metadata,
+    parameter set), each one line of ASCII.  A bad comment and an ``MA``/``DB``
+    image that is not finite raise :class:`ValidationError` before any byte is written.
     """
     require_type("write_s3p", sweep, SSweep, "an SSweep")
     fmt = fmt.upper()
     if fmt not in FORMATS:
         raise ValidationError(f"format must be one of {FORMATS}, got {fmt!r}")
+    head = [f"! {c}" for c in comments]
+    for line in head:
+        if not line.isascii() or line.splitlines() != [line]:
+            raise ValidationError(f"a comment must be one line of ASCII, got {line[2:]!r}")
     s = sweep.s.reshape(len(sweep), NPORTS * NPORTS)
     if fmt == "RI":
         a, b = s.real, s.imag
     else:
-        a = np.abs(s)
+        a = np.abs(s)   # may overflow for a finite entry: refused below
         b = np.degrees(np.arctan2(s.imag, s.real))
         if fmt == "DB":
             # an exact zero has no finite dB image: refuse it
             if not a.all():
                 raise ValidationError("cannot represent a zero entry in DB format")
             a = 20.0 * np.log10(a)
+        bad = np.flatnonzero(~np.isfinite(a).all(axis=1))
+        if bad.size:
+            raise ValidationError(f"record {bad[0] + 1} at {sweep.frequency[bad[0]]:.6g} Hz "
+                                  f"has an |S| too large for {fmt} format")
     table = np.empty((len(sweep), 1 + 2 * NPORTS * NPORTS))
     table[:, 0] = sweep.frequency
     table[:, 1::2] = a
     table[:, 2::2] = b
-    # the reader refuses a non-finite value, so the writer does too
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise ValidationError(f"record {bad[0] + 1} at {sweep.frequency[bad[0]]:g} Hz holds "
-                              "a non-finite frequency or S value")
-    if not np.all(table[1:, 0] > table[:-1, 0]):
-        raise ValidationError("sweep frequencies must be strictly increasing")
-
-    write_rows(destination, "".join(f"! {c}\n" for c in comments) + f"# Hz S {fmt} R {sweep.z0:g}\n",
-               table, RECORD_DIGITS, RECORD_SEPARATORS)
+    head.append(f"# Hz S {fmt} R {sweep.z0:g}")
+    write_rows(destination, "\n".join(head) + "\n", table, RECORD_DIGITS, RECORD_SEPARATORS)
 
 
 def _parse_option_line(line: str, lineno: int):
@@ -246,6 +233,10 @@ def read_s3p(source) -> TouchstoneDocument:
     scale = FREQUENCY_UNITS[unit.upper()]
     with np.errstate(over="ignore"):   # an overflowing frequency is reported below
         freqs = values[starts[0:end:NPORTS]] * scale
+    negative = np.flatnonzero(freqs < 0.0)
+    if negative.size:
+        k = NPORTS * negative[0]
+        problems.append((k, f"negative frequency {float(values[starts[k]])} {unit}"))
     falling = np.flatnonzero(freqs[1:] <= freqs[:-1])
     if falling.size:
         k = NPORTS * (falling[0] + 1)
@@ -282,11 +273,5 @@ def read_s3p(source) -> TouchstoneDocument:
         raise TouchstoneError("a value overflows when converted",
                               int(linenos[NPORTS * record + entry // NPORTS]))
 
-    return TouchstoneDocument(
-        frequency_unit=unit,
-        parameter_type="S",
-        value_format=fmt,
-        reference_resistance=resistance,
-        records=Records(freqs, s.reshape(-1, NPORTS, NPORTS)),
-        comments=tuple(comments),
-    )
+    return TouchstoneDocument(SSweep(freqs, s.reshape(-1, NPORTS, NPORTS), resistance),
+                              frequency_unit=unit, value_format=fmt, comments=tuple(comments))

@@ -384,6 +384,19 @@ class TestPassivityPrecursor:
 
 
 class TestSweep:
+    def test_an_overflowing_impedance_is_refused_naming_its_frequency(self, monkeypatch):
+        # w * L/2 overflows from about 2.9e7 Hz on: the record refuses Z, as one rule
+        with pytest.raises(ValidationError, match=r"^z must be finite: record 1 at 1e\+09 Hz "
+                                                  r"holds a non-finite entry$"):
+            z_matrix_at(1e9, elements_with(l_half=1e300))
+        monkeypatch.setattr(tsvkit.network, "rlgc_at",
+                            lambda f, g, m: replace(rlgc_at(f, g, m), l_half=1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=r"^z must be finite: record 4 at "
+                                                      r"3\.16228e\+07 Hz"):
+                z_sweep(FrequencyGrid.logarithmic(1e6, 1e10, 9), GEOM, MAT)
+
     def test_shape_and_order(self):
         grid = FrequencyGrid.default()
         sweep = z_sweep(grid, GEOM, MAT)

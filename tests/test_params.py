@@ -11,10 +11,11 @@ import pytest
 from tsvkit import DEFAULT_GEOMETRY, DEFAULT_MATERIALS, sigma_from_mobility
 from tsvkit.constants import K_B, Q_E
 from tsvkit.errors import ConfigError, ValidationError
-from tsvkit.network import FrequencyGrid, z_matrix_at, z_matrix_mna
+from tsvkit.network import FrequencyGrid, ZSweep, z_matrix_at, z_matrix_mna
 from tsvkit.params import (MaterialParams, geometry_from_mapping, load_config,
                            materials_from_mapping, parse_config_text, require)
 from tsvkit.rlgc import r_total, rlgc_at, skin_depth
+from tsvkit.sparams import SSweep
 from tsvkit.spur import substrate_transfer, substrate_transfer_mna
 
 GEOM = DEFAULT_GEOMETRY
@@ -184,6 +185,54 @@ class TestRequire:
     def test_rule_names_its_bounds(self):
         with pytest.raises(ValidationError, match=r"^x must be in \[1\.0, 2\.0\], got 0\.5$"):
             require("x", 0.5, "in [{lowest}, {highest}]", lowest=1.0, highest=2.0)
+
+
+def planted(n, member, value):
+    """(n, 3, 3) matrices, finite but for ``value`` in one entry of ``member``."""
+    m = np.full((n, 3, 3), 0.1 + 0.2j)
+    m[member, 1, 2] = value
+    return m
+
+
+AXIS = "^frequencies must be finite, non-negative and strictly increasing: record "
+# A sweep each record refuses, and the message; {} is the record's name for its matrices.
+BAD_SWEEPS = {
+    "negative": ([-1.0], np.ones((1, 3, 3)), AXIS + "1 is at -1 Hz$"),
+    "negative_after_dc": ([0.0, -1.0], np.ones((2, 3, 3)), AXIS + "2 is at -1 Hz$"),
+    "decreasing": ([1e9, 3e9, 2e9], np.ones((3, 3, 3)), AXIS + r"3 is at 2e\+09 Hz$"),
+    "repeated": ([1e9, 1e9], np.ones((2, 3, 3)), AXIS + r"2 is at 1e\+09 Hz$"),
+    "nan_frequency": ([1e9, math.nan, 3e9], np.ones((3, 3, 3)), AXIS + "2 is at nan Hz$"),
+    "lone_nan_frequency": ([math.nan], np.ones((1, 3, 3)), AXIS + "1 is at nan Hz$"),
+    "inf_frequency": ([1e9, math.inf], np.ones((2, 3, 3)), AXIS + "2 is at inf Hz$"),
+    "nan_entry": ([1e8, 1e9, 1e10], planted(3, 1, math.nan),
+                  r"^{} must be finite: record 2 at 1e\+09 Hz holds a non-finite entry$"),
+    "inf_entry": ([1e8, 1e9], planted(2, 1, complex(0.0, -math.inf)),
+                  r"^{} must be finite: record 2 at 1e\+09 Hz holds a non-finite entry$"),
+    "lone_inf_entry": ([1e9], planted(1, 0, math.inf),
+                       r"^{} must be finite: record 1 at 1e\+09 Hz holds a non-finite entry$"),
+    "empty": ([], np.ones((0, 3, 3)), "^a sweep needs a nonempty 1-D frequency vector$"),
+    "2d_axis": ([[1e9, 2e9]], np.ones((2, 3, 3)),
+                 "^a sweep needs a nonempty 1-D frequency vector$"),
+}
+
+
+class TestSweepRule:
+    """require_sweep, the one rule of what a ZSweep or an SSweep may hold."""
+
+    @pytest.mark.parametrize("f, m, named", BAD_SWEEPS.values(), ids=BAD_SWEEPS.keys())
+    @pytest.mark.parametrize("record, name", [(ZSweep, "z"), (SSweep, "s")],
+                             ids=["ZSweep", "SSweep"])
+    def test_a_bad_sweep_is_refused_naming_its_first_bad_record(self, record, name, f, m, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a NaN is compared without a warning
+            with pytest.raises(ValidationError, match=named.format(name)):
+                record(np.array(f), m)
+
+    @pytest.mark.parametrize("f", [[0.0], [-0.0, 1.0], [0.0, 5e-324, 1e9, 1e300]],
+                             ids=["dc", "negative_zero", "dc_then_subnormal"])
+    def test_a_dc_point_and_increasing_frequencies_are_accepted(self, f):
+        for record in (ZSweep, SSweep):
+            assert record(f, np.ones((len(f), 3, 3))).frequency.tolist() == f
 
 
 # Every route that takes a frequency, and one input of each kind it must

@@ -11,7 +11,7 @@ from tsvkit import (DEFAULT_GEOMETRY, DEFAULT_MATERIALS, FrequencyGrid,
                     TouchstoneError, ValidationError, numerics)
 from tsvkit.network import z_sweep
 from tsvkit.sparams import SSweep, s_sweep
-from tsvkit.touchstone import Records, TouchstoneDocument, read_s3p, write_s3p
+from tsvkit.touchstone import read_s3p, write_s3p
 
 
 def model_sweep(n=5, start=1e6, stop=1e10):
@@ -99,24 +99,38 @@ class TestWriter:
         with pytest.raises(ValidationError, match="zero entry"):
             write_s3p(one_record(1e9, np.zeros((3, 3))), io.StringIO(), fmt="DB")
 
-    @pytest.mark.parametrize("where", ["frequency", "entry"])
-    def test_non_finite_value_refused_before_writing(self, where, tmp_path):
+    @pytest.mark.parametrize("fmt", ["MA", "DB"])
+    def test_an_overflowing_magnitude_is_refused_before_writing(self, fmt, tmp_path):
+        # every entry is finite, but |S| of record 3 is above the largest double
         sweep = model_sweep(n=4)
-        f, s = sweep.frequency.copy(), sweep.s.copy()
-        if where == "frequency":
-            f[2] = np.nan
-        else:
-            s[2, 1, 0] = complex(np.nan, 0.0)
-        bad = SSweep(f, s, sweep.z0)
+        s = sweep.s.copy()
+        s[2, 1, 0] = complex(1.5e308, -1.5e308)
+        bad = SSweep(sweep.frequency, s, sweep.z0)
+        for destination in (tmp_path / "bad.s3p", io.BytesIO(), io.StringIO()):
+            with pytest.raises(ValidationError, match=f"^record 3 at [0-9.e+]+ Hz has an "
+                                                      f"[|]S[|] too large for {fmt} format$"):
+                write_s3p(bad, destination, fmt=fmt)
+        assert not (tmp_path / "bad.s3p").exists()
+        write_s3p(bad, io.StringIO(), fmt="RI")   # its real and imaginary parts are finite
+
+    @pytest.mark.parametrize("comment", ["caf\u00e9", "evil\n# Hz S MA R 75", "a\rb", "a\r\n",
+                                         "a\x1cb", "a\u2028b", "a\x85b"],
+                             ids=["non_ascii", "lf", "cr", "cr_lf", "fs", "ls", "nel"])
+    def test_a_comment_that_is_not_one_ascii_line_is_refused_before_writing(self, comment,
+                                                                            tmp_path):
         path = tmp_path / "bad.s3p"
-        for fmt in ("RI", "MA", "DB"):
-            with pytest.raises(ValidationError, match="record 3"):
-                write_s3p(bad, path, fmt=fmt)
-            assert not path.exists()
-            stream = io.StringIO()
-            with pytest.raises(ValidationError, match="non-finite"):
-                write_s3p(bad, stream, fmt=fmt)
-            assert stream.getvalue() == ""
+        binary, text = io.BytesIO(), io.StringIO()
+        for destination in (path, binary, text):
+            with pytest.raises(ValidationError, match="^a comment must be one line of ASCII, "
+                                                      "got "):
+                write_s3p(model_sweep(n=2), destination, comments=["ok", comment])
+        assert not path.exists() and binary.getvalue() == b"" and text.getvalue() == ""
+
+    def test_a_dc_record_round_trips(self):
+        sweep = SSweep(np.array([0.0, 1e9]), np.full((2, 3, 3), 0.25 + 0.5j))
+        doc = read_s3p(write_text(sweep))
+        assert doc.sweep.frequency.tolist() == [0.0, 1e9]
+        assert doc.sweep.s.tolist() == sweep.s.tolist()
 
     def test_same_bytes_to_a_path_a_binary_and_a_text_stream(self, tmp_path):
         sweep = model_sweep(n=600)   # three pieces of text
@@ -162,9 +176,12 @@ class TestRoundTrip:
 
     def test_document_to_sparams(self):
         sweep = model_sweep(n=3)
-        points = read_s3p(write_text(sweep)).as_sparams()
-        assert isinstance(points, SSweep) and points.z0 == 50.0 and points.s.shape == (3, 3, 3)
+        doc = read_s3p(write_text(sweep).replace("R 50", "R 75"))
+        points = doc.sweep
+        assert isinstance(points, SSweep) and points.z0 == 75.0 and points.s.shape == (3, 3, 3)
         assert points.frequency == pytest.approx(sweep.frequency)
+        # the records are views of the sweep
+        assert doc.records.frequencies is points.frequency and doc.records.matrices is points.s
 
 
 MINIMAL = """\
@@ -258,6 +275,23 @@ class TestReader:
         with pytest.raises(TouchstoneError) as err:
             read_s3p("\n".join(swapped) + "\n")
         assert "non-monotonic" in str(err.value)
+
+    def test_negative_frequency_named(self):
+        with pytest.raises(TouchstoneError, match="^line 3: negative frequency -1.0 GHz$"):
+            read_s3p(MINIMAL.replace("1.0  ", "-1.0  "))
+        lines = write_text(model_sweep(n=3)).split("\n")
+        # option line 1, records on lines 2-4, 5-7 and 8-10
+        tokens = lines[7].split()
+        tokens[0] = "-" + tokens[0]
+        lines[7] = " ".join(tokens)
+        with pytest.raises(TouchstoneError,
+                           match=r"^line 8: negative frequency -10000000000\.0 Hz$"):
+            read_s3p("\n".join(lines))
+
+    @pytest.mark.parametrize("zero", ["0", "-0", "0.00000000e+00"])
+    def test_dc_record_accepted(self, zero):
+        doc = read_s3p(MINIMAL.replace("1.0  ", zero + "  "))
+        assert doc.sweep.frequency.tolist() == [0.0]
 
     def test_non_numeric_token_named(self):
         with pytest.raises(TouchstoneError) as err:
@@ -358,8 +392,8 @@ def outcome(read, text):
 
 def read_document(source):
     doc = read_s3p(source)
-    return (doc.frequency_unit, doc.value_format, doc.reference_resistance, doc.comments,
-            doc.records.frequencies, doc.records.matrices)
+    return (doc.frequency_unit, doc.value_format, doc.sweep.z0, doc.comments,
+            doc.sweep.frequency, doc.sweep.s)
 
 
 FIELDS = ["nan", "inf", "-inf", "+nan", "1_0", "1__0", "1\x00", "0x10", "1e400", "-1e400",
@@ -444,29 +478,3 @@ class TestReaderFuzz:
         monkeypatch.setattr(numerics, "PIECE_BYTES", piece_bytes)
         for variant in (text, text.replace("\n", "\r\n"), text.replace("\n", "\r")):
             assert outcome(read_document, variant) == outcome(reference_read, variant)
-
-
-def document(records):
-    return TouchstoneDocument(frequency_unit="Hz", parameter_type="S", value_format="RI",
-                              reference_resistance=50.0, records=records)
-
-
-class TestDocumentInvariants:
-    def test_empty_records_rejected(self):
-        with pytest.raises(ValidationError):
-            document(Records(np.empty(0), np.empty((0, 3, 3), dtype=complex)))
-
-    def test_decreasing_records_rejected(self):
-        with pytest.raises(ValidationError):
-            document(Records(np.array([2e9, 1e9]), np.zeros((2, 3, 3), dtype=complex)))
-
-    def test_nonfinite_entries_rejected(self):
-        bad = np.zeros((1, 3, 3), dtype=complex)
-        bad[0, 1, 1] = complex("inf")
-        with pytest.raises(ValidationError):
-            document(Records(np.array([1e9]), bad))
-
-    def test_pair_tuple_rejected(self):
-        m = np.zeros((3, 3), dtype=complex)
-        with pytest.raises(ValidationError, match="records must be a Records, got tuple"):
-            document(((1e9, m),))

@@ -73,6 +73,8 @@ def reference_read(text: str):
         if k % NPORTS == 0:
             if not bad:
                 freq = values[0] * scale
+                if freq < 0.0:
+                    raise TouchstoneError(f"negative frequency {values[0]} {unit}", lineno)
                 if freqs and freq <= freqs[-1]:
                     raise TouchstoneError(f"non-monotonic frequency {values[0]} {unit}", lineno)
                 freqs.append(freq)
