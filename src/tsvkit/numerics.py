@@ -98,9 +98,9 @@ def condition_number(a: np.ndarray) -> np.ndarray:
 
 # Cofactor (i, j) of a 3x3 matrix t is t[i+1, j+1] t[i+2, j+2] - t[i+1, j+2] t[i+2, j+1],
 # indices mod 3: the flat places of those four factors for each of the nine (i, j).
-_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
-_COFACTOR_TERMS = np.stack([(3 * rows[:, None] + cols).ravel() for rows, cols in
-                            ((_NEXT, _NEXT), (_LAST, _LAST), (_NEXT, _LAST), (_LAST, _NEXT))])
+_COFACTORS = tuple((3 * ((i + 1) % 3) + (j + 1) % 3, 3 * ((i + 2) % 3) + (j + 2) % 3,
+                    3 * ((i + 1) % 3) + (j + 2) % 3, 3 * ((i + 2) % 3) + (j + 1) % 3)
+                   for i in range(3) for j in range(3))
 _GAMMA = 2.0 ** -48   # 32 u, with u = 2**-53 the unit roundoff of a double
 _TINY = 2.0 ** -600   # a scaled |det| below this means a condition number above 2**298
 
@@ -157,10 +157,14 @@ def condition_bound(a: np.ndarray) -> np.ndarray:
     np.ldexp(t.real, e, out=t.real)
     np.ldexp(t.imag, e, out=t.imag)
     np.ldexp(mag, e, out=mag)
-    x1, y1, x2, y2 = t[_COFACTOR_TERMS]
-    c = x1 * y1 - x2 * y2
-    mx1, my1, mx2, my2 = mag[_COFACTOR_TERMS]
-    m = mx1 * my1 + mx2 * my2
+    # each cofactor and its sum of moduli from four rows; a complex product's bits
+    # depend on its operand order, which _COFACTORS fixes
+    c, m = np.empty_like(t), np.empty_like(mag)
+    for k, (p, q, r, s) in enumerate(_COFACTORS):
+        np.multiply(t[p], t[q], out=c[k])
+        c[k] -= t[r] * t[s]
+        np.multiply(mag[p], mag[q], out=m[k])
+        m[k] += mag[r] * mag[s]
     det = np.abs(t[0] * c[0] + t[1] * c[1] + t[2] * c[2])
     den = det - _GAMMA * (mag[0] * m[0] + mag[1] * m[1] + mag[2] * m[2])
     num = (np.sqrt((mag * mag).sum(axis=0))

@@ -62,10 +62,20 @@ def r_dc(geom: TsvGeometry, mat: MaterialParams) -> float:
 def skin_depth(f, mat: MaterialParams):
     """RF penetration depth sqrt(rho / (pi*f*mu_r*mu_0)), in meters.
 
-    ``f`` is a frequency in Hz or an array of them.
+    ``f`` is a frequency in Hz or an array of them.  At one frequency, a
+    depth that is not finite and positive, where the product under the root
+    overflows or underflows near the ends of the double range, raises
+    :class:`ValidationError` naming the frequency.
     """
     require_frequency(f)
-    return _sqrt(mat.rho_cu / (math.pi * f * mat.mu_r * MU_0))
+    if isinstance(f, np.ndarray):
+        return np.sqrt(mat.rho_cu / (math.pi * f * mat.mu_r * MU_0))
+    x = math.pi * f * mat.mu_r * MU_0
+    depth = math.sqrt(mat.rho_cu / x) if x else math.inf
+    if not 0.0 < depth < math.inf:
+        raise ValidationError(f"skin depth must be finite and positive, got {depth:g} m "
+                              f"at {f:g} Hz")
+    return depth
 
 
 def r_ac(f, geom: TsvGeometry, mat: MaterialParams):

@@ -16,6 +16,10 @@ number either way.
 `s_sweep` converts a sweep in closed form, by even/odd-mode analysis
 (`modal_s`) of the branch impedances of its elements; the solve route is the
 exact reference it is checked against.
+`max_singular_value`, the passivity measure, takes the same even/odd split:
+an S whose ports 1 and 3 mirror each other, as every S of the model does,
+has the singular values of its odd 1x1 and even 2x2 blocks, which closed
+forms give over the whole stack; any other S takes ``eigvalsh`` of S^H S.
 """
 
 from __future__ import annotations
@@ -168,22 +172,54 @@ def s_sweep(zs: ZSweep, z0: float = 50.0) -> SSweep:
 def max_singular_value(sp: SSweep) -> np.ndarray:
     """Largest singular value of each S of a sweep, as an (N,) array.
 
-    The square root of the largest eigenvalue of the Hermitian S^H S, which
-    ``eigvalsh`` finds for less than an SVD costs.  Each matrix is first
-    scaled by a power of two, which is exact, to a largest entry in
-    [1/2, 1), so S^H S neither overflows nor underflows; a matrix with a
-    non-finite entry gives NaN.
+    Each matrix is first scaled by a power of two, which is exact, to a
+    largest entry in [1/2, 1), so that no product below overflows or loses
+    bits that matter to underflow; a matrix with a non-finite entry gives NaN.
+
+    A member whose ports 1 and 3 mirror each other (S11 = S33, S12 = S32,
+    S13 = S31 and S21 = S23, exactly), as every S of the model does, splits
+    by the orthogonal even/odd change of basis of :func:`modal_s` into an
+    odd 1x1 block S11 - S13 and an even 2x2 block
+    E = [[S11 + S13, sqrt(2) S12], [sqrt(2) S21, S22]], so that
+
+        sigma_max^2 = max(|S11 - S13|^2, (r1 + r2 + sqrt((r1 - r2)^2 + 4 |p|^2)) / 2),
+
+    with r1, r2 the squared row norms of E and p the inner product of its
+    rows, 4 |p|^2 = 8 |conj(S21)(S11 + S13) + conj(S22) S12|^2.  Every term
+    is a sum of non-negative parts but r1 - r2, which only enters squared,
+    so the value is accurate to a few ulps even where the top two singular
+    values coincide.  It is computed in real arithmetic over the stack.
+    Any other member takes the largest eigenvalue of the Hermitian S^H S
+    (``eigvalsh``, for less than an SVD costs).
     """
     require_type("max_singular_value", sp, SSweep, "an SSweep")
-    s = sp.s
-    big = np.abs(s).max(axis=(-2, -1))
+    s = sp.s.reshape(-1, 9)
+    big = np.abs(s).max(axis=1)
     finite = np.isfinite(big)
     e = np.frexp(np.where(finite, big, 0.0))[1]
-    scale = np.expand_dims(-e, (-2, -1))
-    t = np.empty_like(s)
-    t.real = np.ldexp(np.where(finite[..., None, None], s.real, 0.0), scale)
-    t.imag = np.ldexp(np.where(finite[..., None, None], s.imag, 0.0), scale)
-    top = np.linalg.eigvalsh(t.conj().swapaxes(-1, -2) @ t)[..., -1]
+    # S11, S12, S13, S21 and S22 scaled, real parts then imaginary parts, row by row
+    parts = np.empty((2, 5, len(s)))
+    np.ldexp(s[:, :5].real.T, -e, out=parts[0])
+    np.ldexp(s[:, :5].imag.T, -e, out=parts[1])
+    if not finite.all():   # zeroed, so that no inf meets inf below
+        parts[..., ~finite] = 0.0
+    (ar, br, cr, dr, fr), (ai, bi, ci, di, fi) = parts
+    gr, gi = ar + cr, ai + ci   # S11 + S13
+    odd = (ar - cr) ** 2 + (ai - ci) ** 2
+    r1 = gr * gr + gi * gi + 2.0 * (br * br + bi * bi)
+    r2 = 2.0 * (dr * dr + di * di) + fr * fr + fi * fi
+    p_re = dr * gr + di * gi + fr * br + fi * bi   # conj(S21)(S11 + S13) + conj(S22) S12
+    p_im = dr * gi - di * gr + fr * bi - fi * br
+    top = np.maximum(odd, 0.5 * (r1 + r2 + np.sqrt((r1 - r2) ** 2
+                                                    + 8.0 * (p_re * p_re + p_im * p_im))))
+    # S33, S32, S31 and S23 against S11, S12, S13 and S21
+    other = np.flatnonzero(finite & ~(s[:, :4] == s[:, :4:-1]).all(axis=1))
+    if other.size:
+        t = sp.s[other]   # a copy, scaled in place
+        scale = np.expand_dims(-e[other], (-2, -1))
+        np.ldexp(t.real, scale, out=t.real)
+        np.ldexp(t.imag, scale, out=t.imag)
+        top[other] = np.linalg.eigvalsh(t.conj().swapaxes(-1, -2) @ t)[..., -1]
     return np.where(finite, np.ldexp(np.sqrt(top), e), np.nan)
 
 

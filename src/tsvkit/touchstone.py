@@ -23,7 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import TouchstoneError, ValidationError
-from .numerics import LINE_BREAK, FieldError, non_ascii_line, parse_fields, write_rows
+from .numerics import (LINE_BREAK, FieldError, format_rows, non_ascii_line, parse_fields,
+                       write_rows)
 from .params import require_type
 from .sparams import SSweep
 
@@ -71,13 +72,36 @@ class TouchstoneDocument:
         return Records(self.sweep.frequency, self.sweep.s)
 
 
+def _check_written_order(f: np.ndarray) -> None:
+    """Refuse frequencies that do not rise in the 9 significant digits a record is written with.
+
+    Two frequencies share their written digits only if they are closer than
+    about 1e-8 relative: the pairs closer than 1e-7 are written and read back
+    by the record kernels, and the first record whose frequency the reader
+    would find not above the one before is named.
+    """
+    close = np.flatnonzero(f[1:] - f[:-1] < 1e-7 * f[1:])
+    if not close.size:
+        return
+    pairs = np.stack([f[close], f[close + 1]], axis=1)
+    text = b"".join(format_rows(pairs, RECORD_DIGITS, " \n"))
+    written = parse_fields(text)[1].reshape(-1, 2)
+    same = np.flatnonzero(written[:, 1] <= written[:, 0])
+    if same.size:
+        k = close[same[0]] + 1
+        raise ValidationError(f"record {k + 1} at {float(f[k])!r} Hz has the 9 significant "
+                              f"digits of record {k} ({written[same[0], 0]:.8e} Hz): the "
+                              "written frequencies must increase")
+
+
 def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
     """Write a sweep as Touchstone v1 text to a path, a binary stream or a text stream.
 
     ``sweep`` is an :class:`SSweep`, which holds the sweep rule the reader
     checks too.  ``comments`` become leading ``!`` lines (generator metadata,
-    parameter set), each one line of ASCII.  A bad comment and an ``MA``/``DB``
-    image that is not finite raise :class:`ValidationError` before any byte is written.
+    parameter set), each one line of ASCII.  A bad comment, an ``MA``/``DB``
+    image that is not finite and frequencies that do not increase in their
+    9 written digits raise :class:`ValidationError` before any byte is written.
     """
     require_type("write_s3p", sweep, SSweep, "an SSweep")
     fmt = fmt.upper()
@@ -102,6 +126,7 @@ def write_s3p(sweep, destination, fmt: str = "RI", comments=()) -> None:
         if bad.size:
             raise ValidationError(f"record {bad[0] + 1} at {sweep.frequency[bad[0]]:.6g} Hz "
                                   f"has an |S| too large for {fmt} format")
+    _check_written_order(sweep.frequency)
     table = np.empty((len(sweep), 1 + 2 * NPORTS * NPORTS))
     table[:, 0] = sweep.frequency
     table[:, 1::2] = a

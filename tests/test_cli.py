@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -502,6 +503,32 @@ class TestCommandLineErrors:
         code, _, err = run(capsys, "spur")
         assert code == 2
         assert self.one_error_line(err) and "--mode" in err
+
+    @pytest.mark.parametrize("f_agg, depth", [("1e308", "0"), ("1e-320", "inf")])
+    def test_an_aggressor_frequency_at_an_end_of_the_double_range_is_refused(
+            self, f_agg, depth, tmp_path, capsys):
+        # pi f mu overflows (a zero depth) or underflows (no depth) in rlgc.skin_depth
+        out_csv = tmp_path / "s.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "spur", "--mode", "amplitude", "--f-agg", f_agg,
+                                 "--out", str(out_csv))
+        assert code == 2 and out == ""
+        assert self.one_error_line(err)
+        assert err.startswith(f"error: skin depth must be finite and positive, got {depth} m at ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_frequencies_equal_in_their_written_digits_are_refused(self, tmp_path, capsys):
+        # 1 Hz steps at 1 GHz: the 9 significant digits of a record repeat
+        paths = ["--out", str(tmp_path / "p.s3p"), "--csv", str(tmp_path / "p.csv")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "extract", "--f-start", "1e9", "--f-stop", "1.0000001e9",
+                                 "--points", "101", "--spacing", "linear", *paths)
+        assert code == 2 and out == ""
+        assert err == ("error: record 2 at 1000000001.0 Hz has the 9 significant digits of "
+                       "record 1 (1.00000000e+09 Hz): the written frequencies must increase\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_unreadable_config_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.cfg"

@@ -123,6 +123,37 @@ def svd_condition_number(a):
     return np.linalg.cond(np.ldexp(a.real, -e) + 1j * np.ldexp(a.imag, -e))
 
 
+# The bound as first written, gathering the four factors of every cofactor
+# into (4, 9, N) copies: the reference the row-by-row products must match.
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+_COFACTOR_TERMS = np.stack([(3 * rows[:, None] + cols).ravel() for rows, cols in
+                            ((_NEXT, _NEXT), (_LAST, _LAST), (_NEXT, _LAST), (_LAST, _NEXT))])
+
+
+def gathered_condition_bound(a):
+    gamma, tiny = numerics._GAMMA, numerics._TINY
+    t = np.asarray(a, dtype=np.complex128).reshape(-1, 9).T.copy()
+    mag = np.abs(t)
+    big = mag.max(axis=0)
+    bad = ~np.isfinite(big)
+    t[:, bad], mag[:, bad], big[bad] = 0.0, 0.0, 0.0
+    e = -np.frexp(big)[1]
+    np.ldexp(t.real, e, out=t.real)
+    np.ldexp(t.imag, e, out=t.imag)
+    np.ldexp(mag, e, out=mag)
+    x1, y1, x2, y2 = t[_COFACTOR_TERMS]
+    c = x1 * y1 - x2 * y2
+    mx1, my1, mx2, my2 = mag[_COFACTOR_TERMS]
+    m = mx1 * my1 + mx2 * my2
+    det = np.abs(t[0] * c[0] + t[1] * c[1] + t[2] * c[2])
+    den = det - gamma * (mag[0] * m[0] + mag[1] * m[1] + mag[2] * m[2])
+    num = (np.sqrt((mag * mag).sum(axis=0))
+           * (np.sqrt((c.real * c.real + c.imag * c.imag).sum(axis=0)) + gamma * m.sum(axis=0)))
+    ok = (den > 0) & (det >= tiny)
+    with np.errstate(over="ignore"):
+        return np.where(ok, num / np.where(ok, den, 1.0) * (1.0 + gamma), np.inf)
+
+
 class TestConditionBound:
     def test_never_below_the_svd_condition_number(self):
         rng = np.random.default_rng(11)
@@ -145,6 +176,26 @@ class TestConditionBound:
         # the bound clears most members within a limit of 1e12
         assert finite.sum() > 0.5 * len(a)
         assert (bound <= 1e12).sum() > 0.9 * (cond <= 1e11).sum()
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 5, 8, 2001, 20001])
+    def test_same_bits_as_the_gathered_cofactors(self, count):
+        rng = np.random.default_rng(40 + count)
+        a = prescribed_stack(rng, count)   # 1e-300 .. 1e300
+        a[rng.random(count) < 0.1] *= 1e-24     # a few subnormal ones
+        for k, member in enumerate(rng.integers(0, count, size=min(count, 40)).tolist()):
+            kind = k % 5
+            if kind == 0:
+                a[member, 2] = a[member, 0] * 0.5   # singular
+            elif kind == 1:
+                a[member] = 0.0
+            elif kind == 2:
+                a[member, k % 3, (k + 1) % 3] = [np.nan, np.inf, -np.inf * 1j][k % 3]
+            elif kind == 3:
+                a[member, (k + 2) % 3] = 0.0
+            else:
+                a[member, 0, 0] = complex(1.5e308, 1.5e308)   # a finite entry, an infinite modulus
+        bound = condition_bound(a)
+        assert bound.tobytes() == gathered_condition_bound(a).tobytes()
 
     def test_singular_zero_and_non_finite_members_are_infinite(self, capfd):
         a = np.stack([np.eye(3)] * 7).astype(complex)

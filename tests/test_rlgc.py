@@ -1,6 +1,7 @@
 """Element formulas against the frozen oracle values plus scaling/monotonicity laws."""
 
 import math
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -136,6 +137,15 @@ class TestErrors:
                 skin_depth(f, MAT)
             with pytest.raises(ValidationError):
                 r_ac(f, GEOM, MAT)
+
+    @pytest.mark.parametrize("f, depth", [(1e308, "0"), (1e-320, "inf"), (1e-312, "inf")])
+    def test_a_depth_out_of_the_double_range_is_refused(self, f, depth):
+        # pi f mu_0 overflows, underflows to zero, or leaves rho / (pi f mu_0) overflowing
+        for route in (lambda: skin_depth(f, MAT), lambda: r_ac(f, GEOM, MAT),
+                      lambda: rlgc_at(f, GEOM, MAT)):
+            with pytest.raises(ValidationError, match=re.escape(
+                    f"skin depth must be finite and positive, got {depth} m at {f:g} Hz")):
+                route()
 
     def test_liner_floor_guard(self):
         g = scaled_geometry(liner_thickness=1e-13)

@@ -170,8 +170,31 @@ def contraction_with_equal_top_pair(rng, sigma, third):
     return u @ np.diag([sigma, sigma, third]) @ v.conj().T
 
 
+def unitary(rng, n):
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q
+
+
+def mirror_from_blocks(odd, even):
+    """Q blockdiag(even, odd) Q, Q the orthogonal even/odd basis of ports 1 and 3, entry by entry.
+
+    With Q = [[1, 0, 1], [0, sqrt(2), 0], [1, 0, -1]] / sqrt(2) written out, the
+    entries that mirror each other are computed once, so that they are equal.
+    """
+    (e00, e01), (e10, e11) = even
+    s11, s13, s12, s21 = (e00 + odd) / 2, (e00 - odd) / 2, e01 / math.sqrt(2), e10 / math.sqrt(2)
+    return np.array([[s11, s12, s13], [s21, e11, s21], [s13, s12, s11]])
+
+
+def without_eigvalsh(monkeypatch):
+    """Make a call of np.linalg.eigvalsh fail its test."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("eigvalsh reached")
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+
+
 class TestMaxSingularValue:
-    """sqrt(lambda_max(S^H S)) against the SVD."""
+    """The largest singular value, from the mirror blocks or S^H S, against the SVD."""
 
     def check(self, s):
         sigma = max_singular_value(SSweep(np.arange(1.0, len(s) + 1), s))
@@ -203,6 +226,60 @@ class TestMaxSingularValue:
                                               rng.uniform(0.0, 0.5, 300))])
         self.check(s)
         self.check(np.stack([np.eye(3), -np.eye(3), np.diag([1.0, 1.0, 0.0])]).astype(complex))
+
+    def test_mirror_blocks_with_equal_top_singular_values(self, monkeypatch):
+        # the top pair from the odd and the even block, from the even block, and all three
+        rng = np.random.default_rng(14)
+        members = []
+        for k in range(300):
+            sigma = rng.uniform(0.5, 1.0)
+            tau = sigma if k % 3 else rng.uniform(0.0, sigma)
+            odd = sigma if k % 3 != 1 else rng.uniform(0.0, sigma)
+            odd *= np.exp(2j * np.pi * rng.uniform())
+            even = unitary(rng, 2) @ np.diag([sigma, tau]) @ unitary(rng, 2).conj().T
+            members.append(mirror_from_blocks(odd, even))
+        s = np.stack(members)
+        without_eigvalsh(monkeypatch)   # the blocks alone
+        self.check(s)
+        self.check(s * 1e-300)
+        self.check(s * 1e300)
+
+    @pytest.mark.parametrize("count", [2001, 20001])
+    def test_mixed_stack_members_get_their_bits_alone(self, count):
+        # mirror members over ten decades, 30 % of them with one mirror pair broken
+        rng = np.random.default_rng(count)
+        s = np.stack([mirror_from_blocks(odd, even) for odd, even in zip(
+            rng.normal(size=count) + 1j * rng.normal(size=count),
+            rng.normal(size=(count, 2, 2)) + 1j * rng.normal(size=(count, 2, 2)))])
+        s *= 10.0 ** rng.uniform(-5, 5, size=(count, 1, 1))
+        broken = rng.random(count) < 0.3
+        pair = rng.integers(0, 4, size=count)   # S33, S32, S31 or S23 moved off its mirror
+        rows, cols = np.array([2, 2, 2, 1]), np.array([2, 1, 0, 2])
+        moved = 1.0 + 1e-3 * rng.normal(size=broken.sum())
+        s[broken, rows[pair[broken]], cols[pair[broken]]] *= moved
+        sweep = SSweep(np.arange(1.0, count + 1), s)
+        sigma = max_singular_value(sweep)
+        self.check(s)
+        # every member at 2,001; at 20,001 the first and last 500 and 1,000 drawn at random
+        members = np.arange(count) if count < 10_000 else np.unique(np.concatenate(
+            [np.arange(500), np.arange(count - 500, count), rng.integers(0, count, 1000)]))
+        alone = [max_singular_value(SSweep(sweep.frequency[k:k + 1], s[k:k + 1]))[0]
+                 for k in members.tolist()]
+        assert sigma[members].tobytes() == np.array(alone).tobytes()
+
+    @pytest.mark.parametrize("start, stop, points", [(1e6, 1e11, 201), (1e3, 1e12, 2001),
+                                                     (0.1, 1e3, 201)])
+    def test_model_sweeps_never_take_the_eigenvalue_route(self, start, stop, points, monkeypatch):
+        # every S of the model mirrors ports 1 and 3 exactly: a silent fall-back fails here
+        without_eigvalsh(monkeypatch)
+        thin = (replace(GEOM, radius=2.62e-6, liner_thickness=6.89e-7, height=1.31e-5,
+                        pitch=7.412e-5), replace(MAT, sigma_si=3.97))
+        for geom, mat in ((GEOM, MAT), thin):
+            grid = FrequencyGrid.logarithmic(start, stop, points)
+            sigma = max_singular_value(s_sweep(z_sweep(grid, geom, mat)))
+            assert (sigma <= 1.0 + 1e-9).all()
+        with pytest.raises(AssertionError, match="eigvalsh reached"):
+            max_singular_value(point(random_passive_symmetric(np.random.default_rng(1))))
 
     def test_model_sweep(self):
         sweep = s_sweep(z_sweep(FrequencyGrid.default(), GEOM, MAT))

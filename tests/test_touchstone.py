@@ -126,6 +126,29 @@ class TestWriter:
                 write_s3p(model_sweep(n=2), destination, comments=["ok", comment])
         assert not path.exists() and binary.getvalue() == b"" and text.getvalue() == ""
 
+    @pytest.mark.parametrize("frequency, record", [([1e9, 1e9 + 1.0], 2),
+                                                   ([1.0, 2.0, 3e9, 3e9 + 12.0, 3e9 + 14.0], 5)],
+                             ids=["pair", "later"])
+    def test_frequencies_equal_in_their_written_digits_are_refused_before_writing(
+            self, frequency, record, tmp_path):
+        # valid records whose 9-digit frequencies repeat, which the reader refuses
+        sweep = SSweep(np.array(frequency), np.full((len(frequency), 3, 3), 0.25))
+        path, binary, text = tmp_path / "bad.s3p", io.BytesIO(), io.StringIO()
+        for destination in (path, binary, text):
+            with pytest.raises(ValidationError, match=f"^record {record} at "
+                                                      f"{frequency[record - 1]!r} Hz has the 9 "
+                                                      f"significant digits of record {record - 1} "
+                                                      "[(][0-9.e+]+ Hz[)]: the written frequencies"
+                                                      " must increase$"):
+                write_s3p(sweep, destination)
+        assert not path.exists() and binary.getvalue() == b"" and text.getvalue() == ""
+
+    def test_close_frequencies_that_differ_in_their_written_digits_round_trip(self):
+        frequency = np.array([1e9, 1e9 + 6.0, 1e9 + 16.0, 1e9 + 26.0])   # 1e-8 apart when written
+        sweep = SSweep(frequency, np.full((4, 3, 3), 0.25))
+        written = read_s3p(write_text(sweep)).sweep.frequency
+        assert written.tolist() == [1e9, 1.00000001e9, 1.00000002e9, 1.00000003e9]
+
     def test_a_dc_record_round_trips(self):
         sweep = SSweep(np.array([0.0, 1e9]), np.full((2, 3, 3), 0.25 + 0.5j))
         doc = read_s3p(write_text(sweep))
